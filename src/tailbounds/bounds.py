@@ -8,10 +8,10 @@ the algebraic identities between bounds remain exact.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
+from ._record import Record, replace
 from .dist_core import Pmf, RationalLike, as_rational, mean, shape, variance
 from .errors import ValidationError
 
@@ -30,8 +30,7 @@ class TailMode(enum.Enum):
     TWO_SIDED = "two-sided"
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(Record):
     """A bound value plus the facts that licensed the formula.
 
     ``verified`` lists preconditions this library actually checked;
@@ -126,7 +125,7 @@ def markov_continuous_decreasing(mu: float, a: float) -> BoundResult:
     """P(X >= a) <= E[X] / (2a) for continuous X with decreasing density."""
     if not a > 0:
         raise ValidationError("threshold a must be positive")
-    if mu < 0:
+    if not mu >= 0:
         raise ValidationError("mean must be nonnegative")
     return BoundResult(
         value=mu / (2.0 * a),
@@ -140,7 +139,7 @@ def chebyshev_continuous_unimodal(var: float, a: float) -> BoundResult:
     """P(|X - E[X]| >= a) <= V(X) / (2 a^2) under the half-interval density conditions."""
     if not a > 0:
         raise ValidationError("threshold a must be positive")
-    if var < 0:
+    if not var >= 0:
         raise ValidationError("variance must be nonnegative")
     return BoundResult(
         value=var / (2.0 * a * a),

@@ -4,7 +4,8 @@ Subcommands: ``bound``, ``decompose``, ``extremal``, ``verify``,
 ``sweep``.  Output is JSON by default; ``--format csv`` and
 ``--format plain`` are available where a table makes sense.  Exit
 codes: 0 ok, 2 usage, 3 validation, 4 infeasible, 5 soundness
-violation (an oracle beat a proven bound, i.e. a bug).
+violation (an oracle beat a proven bound or failed its certificate
+check, i.e. a bug).
 """
 from __future__ import annotations
 
@@ -12,7 +13,6 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -42,7 +42,6 @@ from .errors import (
 from .extremal import (
     extremal_markov_continuous,
     extremal_markov_discrete,
-    lp_max_tail_decreasing,
     verify_tightness_theorem2,
     tightness_rows_to_csv,
     tightness_rows_to_json,
@@ -55,23 +54,26 @@ EXIT_INFEASIBLE = 4
 EXIT_SOUNDNESS = 5
 
 
-@dataclass
 class RunConfig:
-    """Everything one invocation needs, parsed and validated."""
+    """Everything one invocation needs, parsed and validated.
 
-    subcommand: str
+    Fields not set by :func:`config_from_args` keep the class defaults.
+    """
+
     pmf: Optional[Pmf] = None
     a: Optional[int] = None
     a_values: Optional[list[int]] = None
     mu: Optional[Fraction] = None
     mu_values: Optional[list[Fraction]] = None
-    var: Optional[Fraction] = None
     N: Optional[int] = None
     epsilon: Optional[float] = None
     kind: Optional[str] = None
     mode: TailMode = TailMode.ONE_SIDED_UPPER
     output_format: str = "json"
     exact: bool = True
+
+    def __init__(self, subcommand: str) -> None:
+        self.subcommand = subcommand
 
 
 def parse_pmf_literal(text: str) -> Pmf:
@@ -214,7 +216,11 @@ def _run_extremal(cfg: RunConfig) -> tuple[str, int]:
     if cfg.kind == "continuous":
         if cfg.epsilon is None:
             raise ValidationError("--epsilon is required for the continuous construction")
-        spec = extremal_markov_continuous(float(cfg.a), float(cfg.mu), cfg.epsilon)
+        try:
+            a, mu = float(cfg.a), float(cfg.mu)
+        except OverflowError as exc:
+            raise ValidationError(f"--a or --mu is too large for a float: {exc}") from exc
+        spec = extremal_markov_continuous(a, mu, cfg.epsilon)
     else:
         spec = extremal_markov_discrete(cfg.a, cfg.mu)
     return json.dumps(spec.to_dict(cfg.exact), indent=2), EXIT_OK

@@ -8,16 +8,15 @@ decreasing pmf towards its extremal two-atom form live here as well.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
+from ._record import Record
 from .dist_core import Pmf, RationalLike, as_rational, make_pmf, shape
 from .errors import ShapeViolationError, ValidationError
 
 
-@dataclass(frozen=True)
-class UniformMixture:
+class UniformMixture(Record):
     """Weights d_i over discrete uniforms {0..i}.
 
     Represents X with P(X = k) = sum_{i >= k} d_i / (i + 1).  Canonical
@@ -54,8 +53,7 @@ class UniformMixture:
         return cls(atoms)
 
 
-@dataclass(frozen=True)
-class IntervalMixture:
+class IntervalMixture(Record):
     """Weights over discrete uniforms on intervals {l..r}.
 
     All intervals share a common point, which makes every represented

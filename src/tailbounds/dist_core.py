@@ -7,10 +7,10 @@ rather than tolerance comparisons.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
+from ._record import Record
 from .errors import ValidationError
 
 RationalLike = Union[int, float, str, Fraction]
@@ -22,12 +22,11 @@ def as_rational(value: RationalLike) -> Fraction:
         return value
     try:
         return Fraction(value)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ValidationError(f"not a rational number: {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class Pmf:
+class Pmf(Record):
     """Finite-support pmf on the integers with exact rational weights.
 
     ``weights[k]`` is the probability of ``offset + k``.  Canonical form:
@@ -88,8 +87,7 @@ class Pmf:
         return make_pmf(offset, [as_rational(w) for w in raw])
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(Record):
     """Shape predicates of a pmf.
 
     ``is_decreasing`` is only meaningful for distributions on the

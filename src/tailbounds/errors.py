@@ -18,4 +18,4 @@ class InfeasibleError(TailBoundsError, ValueError):
 
 
 class SoundnessViolationError(TailBoundsError, RuntimeError):
-    """An oracle exceeded a proven bound; signals an implementation bug."""
+    """An oracle exceeded a proven bound or failed its certificate check; a bug."""

@@ -2,20 +2,24 @@
 
 Two closed-form constructions (the discrete two-atom mixture and the
 continuous epsilon-mixture) sit next to two independent oracles that
-maximize tail probability over moment classes by enumerating basic
-feasible solutions of the equivalent linear programs in exact integer
-arithmetic.  The oracles deliberately share no code with the bound
-formulas: agreement between the two routes is the verification.
+maximize tail probability over moment classes by solving the equivalent
+linear programs in exact integer arithmetic: an upper concave hull for
+decreasing pmfs, and a small two-phase simplex per common point for
+unimodal ones.  Each oracle checks a dual certificate for its optimum
+before returning, so a wrong pivot surfaces as SoundnessViolationError
+rather than as a wrong value.  The oracles deliberately share no code
+with the bound formulas: agreement between the two routes is the
+verification.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .decompose import IntervalMixture, UniformMixture, from_uniform_mixture, mixture_tail
+from ._record import Record
+from .decompose import IntervalMixture, UniformMixture, mixture_tail
 from .dist_core import RationalLike, as_rational
 from .errors import InfeasibleError, SoundnessViolationError, ValidationError
 
@@ -25,8 +29,7 @@ class ExtremalKind(enum.Enum):
     CONTINUOUS_EPSILON_MIXTURE = "ContinuousEpsilonMixture"
 
 
-@dataclass(frozen=True)
-class ExtremalSpec:
+class ExtremalSpec(Record):
     """A constructed worst-case distribution and what it achieves."""
 
     kind: ExtremalKind
@@ -52,17 +55,20 @@ class ExtremalSpec:
         return out
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    """Outcome of an exact tail-maximization: value, witness, work done."""
+class OracleResult(Record):
+    """Outcome of an exact tail-maximization: value, witness, work done.
+
+    ``enumerated`` counts the oracle's work and is deterministic: the
+    points scanned by the hull (N + 1) for the decreasing oracle, and the
+    simplex pivots summed over every common point for the two-sided one.
+    """
 
     max_tail: Fraction
     argmax: Union[UniformMixture, IntervalMixture]
     enumerated: int
 
 
-@dataclass(frozen=True)
-class TightnessRow:
+class TightnessRow(Record):
     a: int
     mu: Fraction
     oracle: Optional[Fraction]
@@ -72,7 +78,7 @@ class TightnessRow:
 
 
 def _check_a(a: int) -> int:
-    if not isinstance(a, int) or a < 1:
+    if not isinstance(a, int) or isinstance(a, bool) or a < 1:
         raise ValidationError("threshold a must be an integer >= 1")
     return a
 
@@ -116,7 +122,7 @@ def extremal_markov_continuous(a: float, mu: float, epsilon: float) -> ExtremalS
         raise ValidationError("threshold a must be positive")
     if not 0 < epsilon < a:
         raise ValidationError("epsilon must lie in (0, a)")
-    if mu < epsilon / 2:
+    if not mu >= epsilon / 2:
         raise ValidationError("mean must be at least epsilon/2")
     p = (mu - epsilon / 2) / (a - epsilon / 2)
     if p > 1:
@@ -135,13 +141,71 @@ def extremal_markov_continuous(a: float, mu: float, epsilon: float) -> ExtremalS
     )
 
 
+def _upper_hull(us: Sequence[int]) -> list[int]:
+    """Vertices of the upper concave envelope of the points (i, us[i] / (i + 1)).
+
+    One monotone-chain pass; slopes are compared in integers by
+    multiplying through by the (i + 1) denominators.  Collinear points
+    are dropped, so consecutive edges have strictly decreasing slopes.
+    """
+    hull: list[int] = []
+    for x3, u3 in enumerate(us):
+        while len(hull) >= 2:
+            x1, x2 = hull[-2], hull[-1]
+            u1, u2 = us[x1], us[x2]
+            # Keep x2 only if slope(x1, x2) > slope(x2, x3).
+            if (u2 * (x1 + 1) - u1 * (x2 + 1)) * (x3 + 1) * (x3 - x2) > (
+                u3 * (x2 + 1) - u2 * (x3 + 1)
+            ) * (x1 + 1) * (x2 - x1):
+                break
+            hull.pop()
+        hull.append(x3)
+    return hull
+
+
+def _check_line_certificate(
+    us: Sequence[int],
+    line: tuple[int, int, int],
+    two_mu: Fraction,
+    atoms: dict[int, Fraction],
+) -> Fraction:
+    """Return the value of ``atoms`` after checking that ``line`` proves it maximal.
+
+    The problem is max sum d_i c_i subject to sum d_i = 1, sum i d_i = 2mu,
+    d >= 0, with c_i = us[i] / (i + 1).  ``line = (y0, y1, den)`` is the
+    dual solution y(x) = (y0 + y1 x) / den.  It is feasible when it lies on
+    or above every point (i, c_i); by weak duality its value at 2mu then
+    bounds every feasible mixture, so a feasible ``atoms`` that reaches it
+    is optimal.  Raises SoundnessViolationError otherwise.
+    """
+    y0, y1, den = line
+    if den <= 0:
+        raise SoundnessViolationError(f"dual line has nonpositive denominator {den}")
+    for i, u in enumerate(us):
+        if u * den > (i + 1) * (y0 + y1 * i):
+            raise SoundnessViolationError(f"dual line passes below the point at i = {i}")
+    if (
+        any(w < 0 or not 0 <= i < len(us) for i, w in atoms.items())
+        or sum(atoms.values()) != 1
+        or sum(i * w for i, w in atoms.items()) != two_mu
+    ):
+        raise SoundnessViolationError("primal mixture is infeasible")
+    value = sum(w * Fraction(us[i], i + 1) for i, w in atoms.items())
+    if value * den != y0 + y1 * two_mu:
+        raise SoundnessViolationError(f"dual bound differs from the primal value {value}")
+    return value
+
+
 def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
     """Maximize P(X >= a) over decreasing pmfs on {0..N} with mean mu.
 
     In uniform-mixture coordinates the problem is a linear program with
-    two equality constraints (total mass 1, E[D] = 2 mu), so some
-    optimum is a basic solution with at most two positive atoms.  All
-    bracketing atom pairs are enumerated and solved exactly.
+    two equality constraints (total mass 1, E[D] = 2 mu), so its optimum
+    is the upper concave envelope of the points (i, (i - a + 1)^+ / (i + 1))
+    at x = 2 mu.  The envelope is built in exact integers, the argmax is
+    the one or two hull vertices that bracket 2 mu, and the line through
+    the bracketing hull edge is checked as a dual certificate before the
+    result is returned.
     """
     a = _check_a(a)
     mu = as_rational(mu)
@@ -152,24 +216,18 @@ def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
             f"decreasing pmfs on {{0..{N}}} have mean in (0, {Fraction(N, 2)}]; got mu = {mu}"
         )
     two_mu = 2 * mu
-    coeff = [Fraction(max(0, i - a + 1), i + 1) for i in range(N + 1)]
-    best: Optional[tuple[Fraction, dict[int, Fraction]]] = None
-    examined = 0
-    i_hi = min(N, math.floor(two_mu))
-    j_lo = math.ceil(two_mu)
-    for i in range(i_hi + 1):
-        for j in range(max(j_lo, i + 1), N + 1):
-            examined += 1
-            d_j = (two_mu - i) / (j - i)
-            d_i = 1 - d_j
-            value = d_i * coeff[i] + d_j * coeff[j]
-            if best is None or value > best[0]:
-                best = (value, {i: d_i, j: d_j})
-    if best is None:  # single feasible point: two_mu == N is covered above
-        raise InfeasibleError(f"no atom pair brackets E[D] = {two_mu} in {{0..{N}}}")
-    return OracleResult(
-        max_tail=best[0], argmax=UniformMixture(best[1]), enumerated=examined
-    )
+    us = [0] * (a - 1) + list(range(N - a + 2))  # us[i] = (i - a + 1)^+
+    hull = _upper_hull(us)
+    # hull[0] == 0 < 2mu <= N == hull[-1], so some edge brackets 2mu.
+    k = next(k for k, x in enumerate(hull) if x >= two_mu)
+    xl, xr = hull[k - 1], hull[k]
+    d_r = (two_mu - xl) / (xr - xl)
+    atoms = {xl: 1 - d_r, xr: d_r}
+    # The line through the edge: y(xl) = c_xl and y(xr) = c_xr.
+    slope = us[xr] * (xl + 1) - us[xl] * (xr + 1)
+    line = (us[xl] * (xr + 1) * (xr - xl) - slope * xl, slope, (xl + 1) * (xr + 1) * (xr - xl))
+    value = _check_line_certificate(us, line, two_mu, atoms)
+    return OracleResult(max_tail=value, argmax=UniformMixture(atoms), enumerated=N + 1)
 
 
 def _sum_of_squares(l: int, r: int) -> int:
@@ -179,16 +237,137 @@ def _sum_of_squares(l: int, r: int) -> int:
     return prefix(r) - prefix(l - 1)
 
 
-def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+Column = tuple[int, int, int]
+_UNIT: tuple[Column, Column, Column] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+def _dot(u: Column, v: Column) -> int:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _basis_inverse(A: Sequence[Column], basis: Sequence[int]) -> tuple[list[Column], int]:
+    """Integer adjugate rows and positive determinant of the 3x3 basis.
+
+    ``basis[i]`` is a position in ``A``, or ``~k`` for the artificial unit
+    column of row k.  The inverse of the basis is ``adj / det``.
+    """
+    p, q, r = (A[j] if j >= 0 else _UNIT[~j] for j in basis)
+    adj = [
+        (q[1] * r[2] - q[2] * r[1], q[2] * r[0] - q[0] * r[2], q[0] * r[1] - q[1] * r[0]),
+        (r[1] * p[2] - r[2] * p[1], r[2] * p[0] - r[0] * p[2], r[0] * p[1] - r[1] * p[0]),
+        (p[1] * q[2] - p[2] * q[1], p[2] * q[0] - p[0] * q[2], p[0] * q[1] - p[1] * q[0]),
+    ]
+    det = p[0] * adj[0][0] + p[1] * adj[0][1] + p[2] * adj[0][2]
+    if det < 0:
+        adj = [(-x, -y, -z) for x, y, z in adj]
+        det = -det
+    return adj, det
+
+
+def _run_phase(
+    A: Sequence[Column], cost: Sequence[int], artificial_cost: int, b: Column, basis: list[int]
+) -> tuple[list[Column], int, Column, int]:
+    """Pivot ``basis`` to optimality for max cost.u, A u = b, u >= 0.
+
+    Bland's rule: the lowest column with positive reduced cost enters and,
+    among rows tied in the ratio test, the lowest basis index leaves
+    (artificials, encoded negative, first).  Artificials never re-enter.
+    Returns the final adjugate, determinant, dual row vector
+    y = c_B adj (so the dual solution is y / det) and the pivot count.
+    """
+    pivots = 0
+    while True:
+        adj, det = _basis_inverse(A, basis)
+        cb = [cost[j] if j >= 0 else artificial_cost for j in basis]
+        y0, y1, y2 = (cb[0] * adj[0][i] + cb[1] * adj[1][i] + cb[2] * adj[2][i] for i in range(3))
+        for j, ((a0, a1, a2), cj) in enumerate(zip(A, cost)):
+            if det * cj > y0 * a0 + y1 * a1 + y2 * a2:
+                break
+        else:
+            return adj, det, (y0, y1, y2), pivots
+        d = [r0 * a0 + r1 * a1 + r2 * a2 for r0, r1, r2 in adj]
+        x = [_dot(row, b) for row in adj]
+        leave = -1
+        for i in range(3):
+            if d[i] > 0 and (
+                leave < 0
+                or x[i] * d[leave] < x[leave] * d[i]
+                or (x[i] * d[leave] == x[leave] * d[i] and basis[i] < basis[leave])
+            ):
+                leave = i
+        if leave < 0:
+            raise SoundnessViolationError("simplex found an unbounded ray in a bounded LP")
+        basis[leave] = j
+        pivots += 1
+
+
+def _simplex(
+    A: Sequence[Column], obj: Sequence[int], b: Column
+) -> tuple[Optional[dict[int, int]], Column, int, int]:
+    """Maximize obj.u subject to A u = b, u >= 0, for three rows and b >= 0.
+
+    Exact two-phase revised simplex from the artificial basis.  Phase 1
+    minimizes the artificial mass; zero artificials are then driven out of
+    the basis where some column can replace them (a row where none can is
+    redundant, and its artificial stays at zero).  Returns
+    ``(solution, y, det, pivots)``: ``solution`` maps positions in ``A`` to
+    weights scaled by ``det``, or is None when the LP is infeasible; ``y``
+    is the final phase's dual scaled by ``det``, the certificate that
+    :func:`_check_certificate` verifies.
+    """
+    basis = [~0, ~1, ~2]
+    adj, det, y, pivots = _run_phase(A, [0] * len(A), -1, b, basis)
+    if _dot(y, b) < 0:
+        return None, y, det, pivots
+    for i in range(3):
+        if basis[i] < 0:
+            for j, col in enumerate(A):
+                if _dot(adj[i], col):
+                    basis[i] = j
+                    pivots += 1
+                    adj, det = _basis_inverse(A, basis)
+                    break
+    adj, det, y, more = _run_phase(A, obj, 0, b, basis)
+    solution = {j: _dot(row, b) for j, row in zip(basis, adj) if j >= 0}
+    return solution, y, det, pivots + more
+
+
+def _check_certificate(
+    A: Sequence[Column],
+    obj: Sequence[int],
+    b: Column,
+    y: Column,
+    det: int,
+    solution: Optional[dict[int, int]],
+) -> Optional[int]:
+    """Return the certified optimum of max obj.u, A u = b, u >= 0, scaled by ``det``.
+
+    With a ``solution`` (weights scaled by ``det > 0``), it must be
+    feasible and ``y / det`` dual feasible, y.A_j >= det * obj_j on every
+    column, with y.b equal to the scaled primal value; weak duality then
+    bounds every feasible u by that value, which is returned.  With
+    ``solution`` None, ``y`` must be a Farkas vector: y.A_j >= 0 on every
+    column and y.b < 0, so no u >= 0 solves A u = b, and None is
+    returned.  Raises SoundnessViolationError otherwise.
+    """
+    y0, y1, y2 = y
+    scale = 0 if solution is None else det
+    for j, (a0, a1, a2) in enumerate(A):
+        if y0 * a0 + y1 * a1 + y2 * a2 < scale * obj[j]:
+            raise SoundnessViolationError(f"dual certificate fails on column {j}")
+    yb = _dot(y, b)
+    if solution is None:
+        if yb >= 0:
+            raise SoundnessViolationError("Farkas vector does not separate b")
+        return None
+    if det <= 0 or any(x < 0 or not 0 <= j < len(A) for j, x in solution.items()):
+        raise SoundnessViolationError("primal solution is not a nonnegative basis")
+    for i in range(3):
+        if sum(A[j][i] * x for j, x in solution.items()) != det * b[i]:
+            raise SoundnessViolationError(f"primal solution violates constraint row {i}")
+    if sum(obj[j] * x for j, x in solution.items()) != yb:
+        raise SoundnessViolationError("dual bound differs from the primal value")
+    return yb
 
 
 def lp_max_two_sided_unimodal(
@@ -198,12 +377,12 @@ def lp_max_two_sided_unimodal(
 
     The support window is the integers within distance N of mu.  Any
     unimodal pmf on the window is a convex combination of uniforms on
-    intervals sharing a common point, so the problem is a linear program
-    over interval weights with three equality constraints (mass, mean,
-    second moment).  Some optimum is a basic solution with at most three
-    positive intervals; all singles, pairs and triples of intervals with
-    a common point are enumerated and solved in exact integer arithmetic
-    via Cramer's rule.
+    intervals sharing a common point c, so the problem is the best over c
+    of a linear program over interval weights with three equality
+    constraints (mass, mean, second moment).  Each is solved by an exact
+    two-phase simplex in integer arithmetic, and its dual (or, when
+    infeasible, Farkas) certificate is checked before the maximum over c
+    is returned; the first c wins ties.
     """
     a = _check_a(a)
     mu = as_rational(mu)
@@ -219,132 +398,51 @@ def lp_max_two_sided_unimodal(
     upper_cut = math.ceil(mu + a)  # k >= mu + a  <=>  k >= upper_cut
     lower_cut = math.floor(mu - a)  # k <= mu - a  <=>  k <= lower_cut
     s2 = var + mu * mu
-    b = (1, mu.numerator, s2.numerator)
     d2, d3 = mu.denominator, s2.denominator
+    # The mean row is negated when mu < 0, so that b >= 0 as phase 1 needs.
+    sign = -1 if mu < 0 else 1
+    b = (1, sign * mu.numerator, s2.numerator)
 
-    # One scaled integer column per interval.  Substituting
-    # w = 2 * len * u makes every constraint coefficient an integer:
-    # mass row 2*len, mean row d2*len*(l+r), second-moment row
+    # One scaled integer column per interval, grouped by left end.
+    # Substituting w = 2 * len * u makes every constraint coefficient an
+    # integer: mass row 2*len, mean row d2*len*(l+r), second-moment row
     # 2*d3*sum(k^2); the objective coefficient is 2 * (# tail points).
-    ls: list[int] = []
-    rs: list[int] = []
-    cols: list[tuple[int, int, int]] = []
-    obj: list[int] = []
+    by_left: list[list[tuple[int, int, Column, int]]] = []
     for l in range(lo, hi + 1):
+        row = []
         for r in range(l, hi + 1):
             length = r - l + 1
-            ls.append(l)
-            rs.append(r)
-            cols.append(
-                (2 * length, d2 * length * (l + r), 2 * d3 * _sum_of_squares(l, r))
-            )
-            count = max(0, r - max(l, upper_cut) + 1) + max(
-                0, min(r, lower_cut) - l + 1
-            )
-            obj.append(2 * count)
+            col = (2 * length, sign * d2 * length * (l + r), 2 * d3 * _sum_of_squares(l, r))
+            count = max(0, r - max(l, upper_cut) + 1) + max(0, min(r, lower_cut) - l + 1)
+            row.append((l, r, col, 2 * count))
+        by_left.append(row)
 
-    n_cols = len(cols)
-    examined = 0
-    best_num, best_den = -1, 1
-    best_basis: list[tuple[int, int]] = []  # (column index, weight numerator)
+    pivots = 0
+    best: Optional[tuple[int, int, list, dict[int, int]]] = None
+    for c in range(lo, hi + 1):
+        # Intervals [l, r] with l <= c <= r, in (l, r) order.
+        members = [iv for row in by_left[: c - lo + 1] for iv in row[c - row[0][0]:]]
+        A = [iv[2] for iv in members]
+        obj = [iv[3] for iv in members]
+        solution, y, det, count = _simplex(A, obj, b)
+        pivots += count
+        num = _check_certificate(A, obj, b, y, det, solution)
+        if num is None:
+            continue
+        if best is None or num * best[1] > best[0] * det:
+            best = (num, det, members, solution)
 
-    # Singles: u = 1 / A0 must satisfy the mean and moment rows too.
-    for j in range(n_cols):
-        examined += 1
-        A = cols[j]
-        if A[1] == b[1] * A[0] and A[2] == b[2] * A[0]:
-            num, den = obj[j], A[0]
-            if num * best_den > best_num * den:
-                best_num, best_den = num, den
-                best_basis = [(j, 1)]
-                best_basis_den = A[0]
-
-    # Pairs: solve two rows, check the third exactly.
-    for p in range(n_cols):
-        Ap = cols[p]
-        for q in range(p + 1, n_cols):
-            if max(ls[p], ls[q]) > min(rs[p], rs[q]):
-                continue
-            examined += 1
-            Aq = cols[q]
-            for r0, r1, r2 in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
-                det = Ap[r0] * Aq[r1] - Ap[r1] * Aq[r0]
-                if det:
-                    break
-            else:
-                continue
-            up = b[r0] * Aq[r1] - b[r1] * Aq[r0]
-            uq = Ap[r0] * b[r1] - Ap[r1] * b[r0]
-            if Ap[r2] * up + Aq[r2] * uq != b[r2] * det:
-                continue
-            if det < 0:
-                det, up, uq = -det, -up, -uq
-            if up < 0 or uq < 0:
-                continue
-            num = obj[p] * up + obj[q] * uq
-            if num * best_den > best_num * det:
-                best_num, best_den = num, det
-                best_basis = [(p, up), (q, uq)]
-                best_basis_den = det
-
-    # Triples via scalar triple products; cross products involving b are
-    # hoisted out of the inner loop.
-    b_cross = [_cross(b, A) for A in cols]
-    for p in range(n_cols):
-        Ap = cols[p]
-        cp = obj[p]
-        bxp = b_cross[p]
-        for q in range(p + 1, n_cols):
-            l_pq = max(ls[p], ls[q])
-            r_pq = min(rs[p], rs[q])
-            if l_pq > r_pq:
-                continue
-            Aq = cols[q]
-            cq = obj[q]
-            bxq = b_cross[q]
-            cof = _cross(Ap, Aq)
-            d1 = _dot(b, cof)
-            for o in range(p):
-                if ls[o] > r_pq or rs[o] < l_pq:
-                    continue
-                examined += 1
-                Ao = cols[o]
-                det = _dot(Ao, cof)
-                if det == 0:
-                    continue
-                if det < 0:
-                    det_abs = -det
-                    uo = -d1
-                    up = -_dot(Ao, bxq)
-                    uq = _dot(Ao, bxp)
-                else:
-                    det_abs = det
-                    uo = d1
-                    up = _dot(Ao, bxq)
-                    uq = -_dot(Ao, bxp)
-                if uo < 0 or up < 0 or uq < 0:
-                    continue
-                num = obj[o] * uo + cp * up + cq * uq
-                if num * best_den > best_num * det_abs:
-                    best_num, best_den = num, det_abs
-                    best_basis = [(o, uo), (p, up), (q, uq)]
-                    best_basis_den = det_abs
-
-    if best_num < 0:
+    if best is None:
         raise InfeasibleError(
             f"no unimodal pmf on [{lo}, {hi}] has mean {mu} and variance {var}"
         )
-    atoms: dict[tuple[int, int], Fraction] = {}
-    for j, unum in best_basis:
-        if unum == 0:
-            continue
-        length = rs[j] - ls[j] + 1
-        w = Fraction(2 * length * unum, best_basis_den)
-        atoms[(ls[j], rs[j])] = atoms.get((ls[j], rs[j]), Fraction(0)) + w
+    num, det, members, solution = best
+    atoms = {}
+    for j, x in solution.items():
+        l, r, _, _ = members[j]
+        atoms[(l, r)] = Fraction(2 * (r - l + 1) * x, det)
     return OracleResult(
-        max_tail=Fraction(best_num, best_den),
-        argmax=IntervalMixture(atoms),
-        enumerated=examined,
+        max_tail=Fraction(num, det), argmax=IntervalMixture(atoms), enumerated=pivots
     )
 
 

@@ -1,0 +1,228 @@
+"""Brute-force reference oracles for cross-checking the library's LP oracles.
+
+These enumerate basic feasible solutions directly: bracketing atom pairs
+for the decreasing problem, and singles, pairs and triples of intervals
+with a common point for the two-sided unimodal problem.  They are slow
+(O(N * 2mu) and O(N^6)) but share no solver code with
+``tailbounds.extremal``, so exact agreement between the two is evidence
+that both are right.
+"""
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from typing import Optional, Sequence
+
+from tailbounds import (
+    InfeasibleError,
+    IntervalMixture,
+    OracleResult,
+    UniformMixture,
+    ValidationError,
+    as_rational,
+)
+
+
+def _check_a(a: int) -> int:
+    if not isinstance(a, int) or a < 1:
+        raise ValidationError("threshold a must be an integer >= 1")
+    return a
+
+
+def reference_max_tail_decreasing(a: int, mu, N: int) -> OracleResult:
+    """Maximize P(X >= a) over decreasing pmfs on {0..N} with mean mu.
+
+    Enumerates every atom pair (i, j) with i <= 2mu <= j and solves the
+    two moment equations for it exactly.
+    """
+    a = _check_a(a)
+    mu = as_rational(mu)
+    if not isinstance(N, int) or N < 2 * a:
+        raise ValidationError("support cap N must be an integer >= 2a")
+    if mu <= 0 or 2 * mu > N:
+        raise InfeasibleError(
+            f"decreasing pmfs on {{0..{N}}} have mean in (0, {Fraction(N, 2)}]; got mu = {mu}"
+        )
+    two_mu = 2 * mu
+    coeff = [Fraction(max(0, i - a + 1), i + 1) for i in range(N + 1)]
+    best: Optional[tuple[Fraction, dict[int, Fraction]]] = None
+    examined = 0
+    i_hi = min(N, math.floor(two_mu))
+    j_lo = math.ceil(two_mu)
+    for i in range(i_hi + 1):
+        for j in range(max(j_lo, i + 1), N + 1):
+            examined += 1
+            d_j = (two_mu - i) / (j - i)
+            d_i = 1 - d_j
+            value = d_i * coeff[i] + d_j * coeff[j]
+            if best is None or value > best[0]:
+                best = (value, {i: d_i, j: d_j})
+    if best is None:
+        raise InfeasibleError(f"no atom pair brackets E[D] = {two_mu} in {{0..{N}}}")
+    return OracleResult(
+        max_tail=best[0], argmax=UniformMixture(best[1]), enumerated=examined
+    )
+
+
+def _sum_of_squares(l: int, r: int) -> int:
+    def prefix(n: int) -> int:
+        return n * (n + 1) * (2 * n + 1) // 6
+
+    return prefix(r) - prefix(l - 1)
+
+
+def _cross(u: Sequence[int], v: Sequence[int]) -> tuple[int, int, int]:
+    return (
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def reference_max_two_sided_unimodal(a: int, mu, var, N: int) -> OracleResult:
+    """Maximize P(|X - mu| >= a) over unimodal pmfs within N of mu.
+
+    Enumerates all singles, pairs and triples of intervals with a common
+    point and solves each basis by Cramer's rule in exact integers.
+    """
+    a = _check_a(a)
+    mu = as_rational(mu)
+    var = as_rational(var)
+    if var < 0:
+        raise ValidationError("variance must be nonnegative")
+    if not isinstance(N, int) or N < 1:
+        raise ValidationError("window radius N must be an integer >= 1")
+    lo = math.ceil(mu - N)
+    hi = math.floor(mu + N)
+    if lo > hi:
+        raise InfeasibleError("window contains no integers")
+    upper_cut = math.ceil(mu + a)
+    lower_cut = math.floor(mu - a)
+    s2 = var + mu * mu
+    b = (1, mu.numerator, s2.numerator)
+    d2, d3 = mu.denominator, s2.denominator
+
+    ls: list[int] = []
+    rs: list[int] = []
+    cols: list[tuple[int, int, int]] = []
+    obj: list[int] = []
+    for l in range(lo, hi + 1):
+        for r in range(l, hi + 1):
+            length = r - l + 1
+            ls.append(l)
+            rs.append(r)
+            cols.append(
+                (2 * length, d2 * length * (l + r), 2 * d3 * _sum_of_squares(l, r))
+            )
+            count = max(0, r - max(l, upper_cut) + 1) + max(
+                0, min(r, lower_cut) - l + 1
+            )
+            obj.append(2 * count)
+
+    n_cols = len(cols)
+    examined = 0
+    best_num, best_den = -1, 1
+    best_basis: list[tuple[int, int]] = []
+
+    # Singles: u = 1 / A0 must satisfy the mean and moment rows too.
+    for j in range(n_cols):
+        examined += 1
+        A = cols[j]
+        if A[1] == b[1] * A[0] and A[2] == b[2] * A[0]:
+            num, den = obj[j], A[0]
+            if num * best_den > best_num * den:
+                best_num, best_den = num, den
+                best_basis = [(j, 1)]
+                best_basis_den = A[0]
+
+    # Pairs: solve two rows, check the third exactly.
+    for p in range(n_cols):
+        Ap = cols[p]
+        for q in range(p + 1, n_cols):
+            if max(ls[p], ls[q]) > min(rs[p], rs[q]):
+                continue
+            examined += 1
+            Aq = cols[q]
+            for r0, r1, r2 in ((0, 1, 2), (0, 2, 1), (1, 2, 0)):
+                det = Ap[r0] * Aq[r1] - Ap[r1] * Aq[r0]
+                if det:
+                    break
+            else:
+                continue
+            up = b[r0] * Aq[r1] - b[r1] * Aq[r0]
+            uq = Ap[r0] * b[r1] - Ap[r1] * b[r0]
+            if Ap[r2] * up + Aq[r2] * uq != b[r2] * det:
+                continue
+            if det < 0:
+                det, up, uq = -det, -up, -uq
+            if up < 0 or uq < 0:
+                continue
+            num = obj[p] * up + obj[q] * uq
+            if num * best_den > best_num * det:
+                best_num, best_den = num, det
+                best_basis = [(p, up), (q, uq)]
+                best_basis_den = det
+
+    # Triples via scalar triple products; cross products involving b are
+    # hoisted out of the inner loop.
+    b_cross = [_cross(b, A) for A in cols]
+    for p in range(n_cols):
+        Ap = cols[p]
+        cp = obj[p]
+        bxp = b_cross[p]
+        for q in range(p + 1, n_cols):
+            l_pq = max(ls[p], ls[q])
+            r_pq = min(rs[p], rs[q])
+            if l_pq > r_pq:
+                continue
+            Aq = cols[q]
+            cq = obj[q]
+            bxq = b_cross[q]
+            cof = _cross(Ap, Aq)
+            d1 = _dot(b, cof)
+            for o in range(p):
+                if ls[o] > r_pq or rs[o] < l_pq:
+                    continue
+                examined += 1
+                Ao = cols[o]
+                det = _dot(Ao, cof)
+                if det == 0:
+                    continue
+                if det < 0:
+                    det_abs = -det
+                    uo = -d1
+                    up = -_dot(Ao, bxq)
+                    uq = _dot(Ao, bxp)
+                else:
+                    det_abs = det
+                    uo = d1
+                    up = _dot(Ao, bxq)
+                    uq = -_dot(Ao, bxp)
+                if uo < 0 or up < 0 or uq < 0:
+                    continue
+                num = obj[o] * uo + cp * up + cq * uq
+                if num * best_den > best_num * det_abs:
+                    best_num, best_den = num, det_abs
+                    best_basis = [(o, uo), (p, up), (q, uq)]
+                    best_basis_den = det_abs
+
+    if best_num < 0:
+        raise InfeasibleError(
+            f"no unimodal pmf on [{lo}, {hi}] has mean {mu} and variance {var}"
+        )
+    atoms: dict[tuple[int, int], Fraction] = {}
+    for j, unum in best_basis:
+        if unum == 0:
+            continue
+        length = rs[j] - ls[j] + 1
+        w = Fraction(2 * length * unum, best_basis_den)
+        atoms[(ls[j], rs[j])] = atoms.get((ls[j], rs[j]), Fraction(0)) + w
+    return OracleResult(
+        max_tail=Fraction(best_num, best_den),
+        argmax=IntervalMixture(atoms),
+        enumerated=examined,
+    )

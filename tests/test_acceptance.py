@@ -152,18 +152,21 @@ def test_criterion_5_soundness_unimodal():
     assert time.perf_counter() - start < 60.0
 
 
+# (a, mu, var, radius) for the Theorem 3 gap probes.
+CRITERION_6_CONFIGS = [
+    (4, F(5), F(10), 5),
+    (2, F(0), F(2), 6),
+    (2, F(1, 2), F(3, 2), 6),
+    (3, F(0), F(5), 8),
+    (2, F(3), F(1), 6),
+]
+
+
 @report(6, "Theorem 3 non-tightness probe")
 def test_criterion_6_two_sided_oracle_gap():
     start = time.perf_counter()
-    configs = [
-        (4, F(5), F(10), 5),
-        (2, F(0), F(2), 6),
-        (2, F(1, 2), F(3, 2), 6),
-        (3, F(0), F(5), 8),
-        (2, F(3), F(1), 6),
-    ]
     gaps = []
-    for a, mu, var, radius in configs:
+    for a, mu, var, radius in CRITERION_6_CONFIGS:
         res = lp_max_two_sided_unimodal(a, mu, var, radius)
         bound = chebyshev_unimodal(var, a).value
         assert res.max_tail < bound
@@ -173,6 +176,25 @@ def test_criterion_6_two_sided_oracle_gap():
         gaps.append((a, str(mu), str(var), str(bound - res.max_tail)))
     print(f"  non-tightness gaps (a, mu, var, bound - oracle): {gaps}")
     assert time.perf_counter() - start < 300.0
+
+
+@report("6b", "Theorem 3 non-tightness probe at radius 20")
+def test_criterion_6b_two_sided_oracle_gap_radius_20():
+    # A wider window only adds feasible pmfs, so the maximum cannot drop
+    # from radius 8 to radius 20.
+    start = time.perf_counter()
+    gaps = []
+    for a, mu, var, _ in CRITERION_6_CONFIGS:
+        res = lp_max_two_sided_unimodal(a, mu, var, 20)
+        bound = chebyshev_unimodal(var, a).value
+        assert res.max_tail < bound
+        q = from_interval_mixture(res.argmax)
+        assert mean(q) == mu and variance(q) == var
+        assert two_sided_tail(q, a) == res.max_tail
+        assert res.max_tail >= lp_max_two_sided_unimodal(a, mu, var, 8).max_tail
+        gaps.append((a, str(mu), str(var), str(bound - res.max_tail)))
+    print(f"  radius-20 gaps (a, mu, var, bound - oracle): {gaps}")
+    assert time.perf_counter() - start < 60.0
 
 
 @report(7, "Theorem 1 epsilon limit")

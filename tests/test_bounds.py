@@ -103,6 +103,12 @@ class TestContinuousFormulas:
         assert r.value == pytest.approx(6.75 / (2 * 3.5**2), abs=1e-15)
         assert r.value / 2 == pytest.approx(0.137755102040816, abs=1e-12)
 
+    def test_nan_moments_rejected(self):
+        with pytest.raises(ValidationError):
+            markov_continuous_decreasing(float("nan"), 1.0)
+        with pytest.raises(ValidationError):
+            chebyshev_continuous_unimodal(float("nan"), 1.0)
+
     def test_half_of_classical_chebyshev(self):
         for var, a in [(6.75, 3.5), (1.0, 2.0), (11.5, 0.25)]:
             assert chebyshev_continuous_unimodal(var, a).value == pytest.approx(

@@ -3,7 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from tailbounds import ValidationError, make_pmf, point_pmf, uniform_pmf
+from tailbounds import (
+    OracleResult,
+    UniformMixture,
+    ValidationError,
+    make_pmf,
+    point_pmf,
+    uniform_pmf,
+)
 from tailbounds.cli import main, parse_pmf_literal
 
 
@@ -152,6 +159,14 @@ class TestExtremalCommand:
         )
         assert code == 3 and "epsilon" in err
 
+    def test_continuous_mean_too_large_for_float(self, capsys):
+        code, out, err = run_cli(
+            capsys, "extremal", "--kind", "continuous", "--a", "1", "--mu", "1e400",
+            "--epsilon", "0.5",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestVerifyCommand:
     def test_csv(self, capsys):
@@ -171,6 +186,18 @@ class TestVerifyCommand:
             {"a": 2, "mu": "1/2", "oracle": "1/6", "bound": "1/6", "equal": True,
              "note": ""}
         ]
+
+    def test_oracle_above_bound_exits_5(self, capsys, monkeypatch):
+        import tailbounds.extremal
+
+        def faulty_oracle(a, mu, N):
+            return OracleResult(max_tail=F(1), argmax=UniformMixture({0: F(1)}), enumerated=0)
+
+        monkeypatch.setattr(tailbounds.extremal, "lp_max_tail_decreasing", faulty_oracle)
+        code, out, err = run_cli(capsys, "verify", "--a", "2", "--mu", "1/2", "--N", "10")
+        assert code == 5 and out == ""
+        assert err.startswith("soundness violation: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestSweepCommand:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from tailbounds import (
     Pmf,
     ValidationError,
+    as_rational,
     make_pmf,
     mean,
     point_pmf,
@@ -25,6 +26,13 @@ def pmfs(st_draw, max_size=12, offset_range=(-5, 5)):
         st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(lambda w: any(w))
     )
     return make_pmf(st_draw(st.integers(*offset_range)), ws)
+
+
+class TestAsRational:
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_floats_rejected(self, value):
+        with pytest.raises(ValidationError):
+            as_rational(value)
 
 
 class TestMakePmf:

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from tailbounds import (
     ExtremalKind,
     InfeasibleError,
     IntervalMixture,
+    SoundnessViolationError,
     UniformMixture,
     ValidationError,
     chebyshev_unimodal,
@@ -26,6 +28,9 @@ from tailbounds import (
     variance,
     verify_tightness_theorem2,
 )
+from tailbounds.extremal import _check_certificate, _check_line_certificate, _simplex
+
+from reference_oracles import reference_max_tail_decreasing, reference_max_two_sided_unimodal
 
 
 class TestExtremalMarkovDiscrete:
@@ -47,6 +52,12 @@ class TestExtremalMarkovDiscrete:
     def test_infeasible_mu_names_cap(self):
         with pytest.raises(InfeasibleError, match="17/2"):
             extremal_markov_discrete(9, 10)
+
+    def test_bool_threshold_rejected(self):
+        with pytest.raises(ValidationError):
+            extremal_markov_discrete(True, F(1, 2))
+        with pytest.raises(ValidationError):
+            lp_max_tail_decreasing(True, F(1, 2), 10)
 
     def test_construction_properties(self):
         for a, mu in [(1, F(1, 4)), (3, F(3, 2)), (9, F(17, 4)), (12, F(11))]:
@@ -112,6 +123,8 @@ class TestExtremalMarkovContinuous:
             extremal_markov_continuous(1.0, 0.5, 1.5)
         with pytest.raises(ValidationError):
             extremal_markov_continuous(1.0, 0.01, 0.5)
+        with pytest.raises(ValidationError):
+            extremal_markov_continuous(1.0, float("nan"), 0.5)
 
 
 class TestLpMaxTailDecreasing:
@@ -221,3 +234,109 @@ class TestVerifyTightness:
         csv = tightness_rows_to_csv(rows)
         assert csv.splitlines()[0] == "a,mu,oracle,bound,equal"
         assert csv.splitlines()[1] == "2,1/2,1/6,1/6,true"
+
+
+def _outcome(oracle, *args):
+    try:
+        return oracle(*args).max_tail
+    except InfeasibleError:
+        return "infeasible"
+
+
+class TestReferenceCrossCheck:
+    """The hull and simplex oracles agree exactly with brute-force enumeration."""
+
+    def test_decreasing_matches_enumeration(self):
+        start = time.perf_counter()
+        rng = random.Random(20261017)
+        cases = [
+            (9, F(5), 40),  # Theorem 2 cell, two-atom optimum
+            (3, F(20), 40),  # 2mu == N: single atom at the cap
+            (2, F(3, 2), 12),  # 2mu == 2a - 1 is a hull vertex
+            (4, F(7, 2), 8),  # 2mu == 2a - 1 with the smallest cap N == 2a
+            (1, F(1, 2), 2),  # smallest cap
+            (5, F(0), 20),  # infeasible: mean must be positive
+            (5, F(21, 2), 20),  # infeasible: 2mu > N
+        ]
+        for _ in range(150):
+            N = rng.randint(2, 40)
+            a = rng.randint(1, N // 2)
+            two_mu = F(rng.randint(1, 2 * N + 2), rng.choice([1, 1, 2, 3, 7]))
+            cases.append((a, two_mu / 2, N))
+        for a, mu, N in cases:
+            got = _outcome(lp_max_tail_decreasing, a, mu, N)
+            assert got == _outcome(reference_max_tail_decreasing, a, mu, N), (a, mu, N)
+            if got != "infeasible":
+                p = from_uniform_mixture(lp_max_tail_decreasing(a, mu, N).argmax)
+                assert shape(p).is_decreasing and mean(p) == mu and tail(p, a) == got
+        assert time.perf_counter() - start < 10.0
+
+    def test_two_sided_matches_enumeration(self):
+        start = time.perf_counter()
+        rng = random.Random(20261018)
+        cases = [
+            (2, F(3), F(0), 4),  # var = 0: a point mass
+            (1, F(1, 2), F(0), 4),  # var = 0 off the lattice: infeasible
+            (3, F(0), F(4), 3),  # uniform on the whole window: var at its cap
+            (3, F(0), F(401, 100), 3),  # just above that cap: infeasible
+            (2, F(3), F(2), 2),  # window ends exactly at mu +- N, uniform on it
+            (1, F(1, 3), F(2, 9), 1),  # window {0, 1}: mu 1/3 from its edge
+            (1, F(5, 2), F(1, 4), 1),  # window {2, 3}, two equal atoms
+            (2, F(0), F(1000), 3),  # variance far beyond the window
+        ]
+        for _ in range(40):
+            radius = rng.randint(1, 6)
+            a = rng.randint(1, 4)
+            mu = F(rng.randint(-12, 12), rng.choice([1, 2, 3]))
+            var = F(rng.randint(0, 4 * radius * radius), rng.choice([1, 2, 4, 12]))
+            cases.append((a, mu, var, radius))
+        feasible = 0
+        for a, mu, var, radius in cases:
+            got = _outcome(lp_max_two_sided_unimodal, a, mu, var, radius)
+            assert got == _outcome(reference_max_two_sided_unimodal, a, mu, var, radius), (
+                a, mu, var, radius,
+            )
+            if got != "infeasible":
+                feasible += 1
+                q = from_interval_mixture(lp_max_two_sided_unimodal(a, mu, var, radius).argmax)
+                assert shape(q).is_unimodal and mean(q) == mu and variance(q) == var
+                assert two_sided_tail(q, a) == got
+        assert feasible >= len(cases) // 3
+        assert time.perf_counter() - start < 10.0
+
+
+class TestCertificates:
+    # Point masses at 0, 1 and 2 in (mass, mean, second moment) rows.
+    A = [(1, 0, 0), (1, 1, 1), (1, 2, 4)]
+    obj = [1, 0, 1]
+
+    def test_simplex_certificate_accepted_and_tampering_rejected(self):
+        b = (1, 1, 2)  # mean 1, second moment 2: only {0: 1/2, 2: 1/2}
+        solution, y, det, _ = _simplex(self.A, self.obj, b)
+        assert {j: F(x, det) for j, x in solution.items() if x} == {0: F(1, 2), 2: F(1, 2)}
+        _check_certificate(self.A, self.obj, b, y, det, solution)
+        for bad_y in ((y[0] - 1, y[1], y[2]), (y[0], y[1] + 1, y[2]), (y[0], y[1], y[2] - 1)):
+            with pytest.raises(SoundnessViolationError):
+                _check_certificate(self.A, self.obj, b, bad_y, det, solution)
+        with pytest.raises(SoundnessViolationError):
+            _check_certificate(self.A, self.obj, b, y, det, {0: det, 2: 0})
+
+    def test_farkas_certificate_accepted_and_tampering_rejected(self):
+        b = (1, 3, 9)  # mean 3 lies outside {0, 1, 2}
+        solution, y, det, _ = _simplex(self.A, self.obj, b)
+        assert solution is None
+        _check_certificate(self.A, self.obj, b, y, det, None)
+        with pytest.raises(SoundnessViolationError):
+            _check_certificate(self.A, self.obj, b, (-y[0], -y[1], -y[2]), det, None)
+
+    def test_line_certificate_accepted_and_tampering_rejected(self):
+        us = [0, 1, 2, 3]  # a = 1: points (i, i / (i + 1)), 2mu = 3/2
+        edge = {1: F(1, 2), 2: F(1, 2)}
+        # y(x) = (2 + x) / 6 passes through (1, 1/2) and (2, 2/3).
+        assert _check_line_certificate(us, (2, 1, 6), F(3, 2), edge) == F(7, 12)
+        assert lp_max_tail_decreasing(1, F(3, 4), 3).max_tail == F(7, 12)
+        chord = {0: F(1, 2), 3: F(1, 2)}
+        with pytest.raises(SoundnessViolationError):
+            _check_line_certificate(us, (2, 1, 6), F(3, 2), chord)  # feasible, not tight
+        with pytest.raises(SoundnessViolationError):
+            _check_line_certificate(us, (0, 3, 12), F(3, 2), chord)  # y(1) = 1/4 < 1/2

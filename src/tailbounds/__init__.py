@@ -1,8 +1,11 @@
 """Sharpened Markov/Chebyshev tail bounds for shape-constrained pmfs.
 
 Exact rational arithmetic for the discrete theory, float reference
-formulas for the continuous half-bounds, and enumeration oracles that
-independently verify the sharpened Markov bound's tightness.
+formulas for the continuous half-bounds, and two exact LP oracles that
+share no code with the formulas: an upper concave hull over decreasing
+pmfs, which checks the sharpened Markov bound and its tightness, and a
+certified three-row simplex over unimodal pmfs, which probes the sharpened
+Chebyshev bound.  Each oracle checks a dual certificate before returning.
 """
 
 __version__ = "0.1.0"

@@ -12,7 +12,16 @@ from fractions import Fraction
 from typing import Union
 
 from ._record import Record, replace
-from .dist_core import Pmf, RationalLike, as_rational, mean, shape, variance
+from .dist_core import (
+    Pmf,
+    RationalLike,
+    _render_rational,
+    as_rational,
+    check_int,
+    mean,
+    shape,
+    variance,
+)
 from .errors import ValidationError
 
 
@@ -44,13 +53,9 @@ class BoundResult(Record):
     asserted: tuple[str, ...] = ()
 
     def to_dict(self, exact: bool = True) -> dict:
-        if isinstance(self.value, Fraction):
-            value = str(self.value) if exact else float(self.value)
-        else:
-            value = self.value
         return {
             "formula": self.formula.value,
-            "value": value,
+            "value": _render_rational(self.value, exact),
             "verified": list(self.verified),
             "asserted": list(self.asserted),
         }
@@ -60,12 +65,6 @@ def _check_threshold(a: RationalLike) -> Fraction:
     a = as_rational(a)
     if a <= 0:
         raise ValidationError("threshold a must be positive")
-    return a
-
-
-def _check_integer_threshold(a: int) -> int:
-    if not isinstance(a, int) or a < 1:
-        raise ValidationError("threshold a must be an integer >= 1")
     return a
 
 
@@ -97,7 +96,7 @@ def chebyshev_classical(var: RationalLike, a: RationalLike) -> BoundResult:
 
 def markov_decreasing(mu: RationalLike, a: int) -> BoundResult:
     """P(X >= a) <= E[X] / (2a - 1) for decreasing pmfs on {0,1,...}."""
-    a = _check_integer_threshold(a)
+    check_int(a, "threshold a", 1)
     mu = as_rational(mu)
     if mu < 0:
         raise ValidationError("mean must be nonnegative")
@@ -110,7 +109,7 @@ def markov_decreasing(mu: RationalLike, a: int) -> BoundResult:
 
 def chebyshev_unimodal(var: RationalLike, a: int) -> BoundResult:
     """P(|X - E[X]| >= a) <= (V(X) + 1/12) / (2 (a - 1/2)^2) for unimodal pmfs."""
-    a = _check_integer_threshold(a)
+    check_int(a, "threshold a", 1)
     var = as_rational(var)
     if var < 0:
         raise ValidationError("variance must be nonnegative")
@@ -159,7 +158,7 @@ def best_bound(p: Pmf, a: int, mode: TailMode = TailMode.ONE_SIDED_UPPER) -> lis
     included only when the relevant shape predicate verifies.  The first
     element is the best provable bound.
     """
-    a = _check_integer_threshold(a)
+    check_int(a, "threshold a", 1)
     report = shape(p)
     results: list[BoundResult] = []
     if mode is TailMode.ONE_SIDED_UPPER:

@@ -5,7 +5,7 @@ Subcommands: ``bound``, ``decompose``, ``extremal``, ``verify``,
 ``--format plain`` are available where a table makes sense.  Exit
 codes: 0 ok, 2 usage, 3 validation, 4 infeasible, 5 soundness
 violation (an oracle beat a proven bound or failed its certificate
-check, i.e. a bug).
+check, or a construction missed its bound, i.e. a bug).
 """
 from __future__ import annotations
 
@@ -24,6 +24,7 @@ from .decompose import (
 )
 from .dist_core import (
     Pmf,
+    _render_rational,
     as_rational,
     make_pmf,
     mean,
@@ -52,28 +53,6 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_SOUNDNESS = 5
-
-
-class RunConfig:
-    """Everything one invocation needs, parsed and validated.
-
-    Fields not set by :func:`config_from_args` keep the class defaults.
-    """
-
-    pmf: Optional[Pmf] = None
-    a: Optional[int] = None
-    a_values: Optional[list[int]] = None
-    mu: Optional[Fraction] = None
-    mu_values: Optional[list[Fraction]] = None
-    N: Optional[int] = None
-    epsilon: Optional[float] = None
-    kind: Optional[str] = None
-    mode: TailMode = TailMode.ONE_SIDED_UPPER
-    output_format: str = "json"
-    exact: bool = True
-
-    def __init__(self, subcommand: str) -> None:
-        self.subcommand = subcommand
 
 
 def parse_pmf_literal(text: str) -> Pmf:
@@ -161,12 +140,6 @@ def _parse_rational_list(text: str) -> list[Fraction]:
     return [as_rational(tok.strip()) for tok in text.split(",")]
 
 
-def _fmt(value: Union[Fraction, float], exact: bool) -> Union[str, float]:
-    if isinstance(value, Fraction):
-        return str(value) if exact else float(value)
-    return value
-
-
 def _clamped(value: Union[Fraction, float]) -> str:
     # Presentation-side clamp for the plain format only.
     if value > 1:
@@ -174,94 +147,109 @@ def _clamped(value: Union[Fraction, float]) -> str:
     return str(value)
 
 
-def _run_bound(cfg: RunConfig) -> tuple[str, int]:
-    results = best_bound(cfg.pmf, cfg.a, cfg.mode)
-    if cfg.mode is TailMode.ONE_SIDED_UPPER:
-        exact_tail = tail(cfg.pmf, cfg.a)
-        tail_label = f"P(X >= {cfg.a})"
-    else:
-        exact_tail = two_sided_tail(cfg.pmf, cfg.a)
-        tail_label = f"P(|X - E[X]| >= {cfg.a})"
-    if cfg.output_format == "json":
+def _exact_tail(pmf: Pmf, a: int, mode: TailMode) -> Fraction:
+    if mode is TailMode.ONE_SIDED_UPPER:
+        return tail(pmf, a)
+    return two_sided_tail(pmf, a)
+
+
+def _run_bound(args: argparse.Namespace) -> str:
+    pmf = _load_pmf(args)
+    mode = TailMode(args.mode)
+    exact = not args.as_float
+    results = best_bound(pmf, args.a, mode)
+    exact_tail = _exact_tail(pmf, args.a, mode)
+    if args.format == "json":
         payload = {
-            "a": cfg.a,
-            "mode": cfg.mode.value,
-            "exact_tail": _fmt(exact_tail, cfg.exact),
-            "mean": _fmt(mean(cfg.pmf), cfg.exact),
-            "variance": _fmt(variance(cfg.pmf), cfg.exact),
-            "bounds": [r.to_dict(cfg.exact) for r in results],
+            "a": args.a,
+            "mode": mode.value,
+            "exact_tail": _render_rational(exact_tail, exact),
+            "mean": _render_rational(mean(pmf), exact),
+            "variance": _render_rational(variance(pmf), exact),
+            "bounds": [r.to_dict(exact) for r in results],
         }
-        return json.dumps(payload, indent=2), EXIT_OK
-    if cfg.output_format == "csv":
+        return json.dumps(payload, indent=2)
+    if args.format == "csv":
         lines = ["formula,value"]
-        lines.append(f"ExactTail,{_fmt(exact_tail, cfg.exact)}")
-        lines.extend(f"{r.formula.value},{_fmt(r.value, cfg.exact)}" for r in results)
-        return "\n".join(lines), EXIT_OK
+        lines.append(f"ExactTail,{_render_rational(exact_tail, exact)}")
+        lines.extend(f"{r.formula.value},{_render_rational(r.value, exact)}" for r in results)
+        return "\n".join(lines)
+    if mode is TailMode.ONE_SIDED_UPPER:
+        tail_label = f"P(X >= {args.a})"
+    else:
+        tail_label = f"P(|X - E[X]| >= {args.a})"
     lines = [f"exact tail {tail_label} = {exact_tail}"]
     width = max(len(r.formula.value) for r in results)
     for r in results:
         lines.append(f"{r.formula.value:<{width}}  {_clamped(r.value)}")
-    return "\n".join(lines), EXIT_OK
+    return "\n".join(lines)
 
 
-def _run_decompose(cfg: RunConfig) -> tuple[str, int]:
-    if cfg.kind == "interval":
-        mixture = unimodal_to_interval_mixture(cfg.pmf)
+def _run_decompose(args: argparse.Namespace) -> str:
+    pmf = _load_pmf(args)
+    if args.kind == "interval":
+        mixture = unimodal_to_interval_mixture(pmf)
     else:
-        mixture = to_uniform_mixture(cfg.pmf)
-    return json.dumps(mixture.to_dict(), indent=2), EXIT_OK
+        mixture = to_uniform_mixture(pmf)
+    return json.dumps(mixture.to_dict(), indent=2)
 
 
-def _run_extremal(cfg: RunConfig) -> tuple[str, int]:
-    if cfg.kind == "continuous":
-        if cfg.epsilon is None:
+def _run_extremal(args: argparse.Namespace) -> str:
+    mu = as_rational(args.mu)
+    if args.kind == "continuous":
+        if args.epsilon is None:
             raise ValidationError("--epsilon is required for the continuous construction")
         try:
-            a, mu = float(cfg.a), float(cfg.mu)
+            a, mu = float(args.a), float(mu)
         except OverflowError as exc:
             raise ValidationError(f"--a or --mu is too large for a float: {exc}") from exc
-        spec = extremal_markov_continuous(a, mu, cfg.epsilon)
+        spec = extremal_markov_continuous(a, mu, args.epsilon)
     else:
-        spec = extremal_markov_discrete(cfg.a, cfg.mu)
-    return json.dumps(spec.to_dict(cfg.exact), indent=2), EXIT_OK
+        spec = extremal_markov_discrete(args.a, mu)
+    return json.dumps(spec.to_dict(not args.as_float), indent=2)
 
 
-def _run_verify(cfg: RunConfig) -> tuple[str, int]:
-    rows = verify_tightness_theorem2(cfg.a_values, cfg.mu_values, cfg.N)
-    if cfg.output_format == "csv":
-        return tightness_rows_to_csv(rows).rstrip("\n"), EXIT_OK
-    return json.dumps(tightness_rows_to_json(rows), indent=2), EXIT_OK
+def _run_verify(args: argparse.Namespace) -> str:
+    a_values = _parse_int_range(args.a)
+    mu_values = _parse_rational_list(args.mu)
+    rows = verify_tightness_theorem2(a_values, mu_values, args.N)
+    if args.format == "csv":
+        return tightness_rows_to_csv(rows).rstrip("\n")
+    return json.dumps(tightness_rows_to_json(rows), indent=2)
 
 
-def _run_sweep(cfg: RunConfig) -> tuple[str, int]:
+def _run_sweep(args: argparse.Namespace) -> str:
+    pmf = _load_pmf(args)
+    a_values = _parse_int_range(args.a)
+    mode = TailMode(args.mode)
+    exact = not args.as_float
     records = []
-    for a in cfg.a_values:
+    for a in a_values:
         if a < 1:
             continue
-        if cfg.mode is TailMode.ONE_SIDED_UPPER:
-            exact_tail = tail(cfg.pmf, a)
-        else:
-            exact_tail = two_sided_tail(cfg.pmf, a)
-        for r in best_bound(cfg.pmf, a, cfg.mode):
+        exact_tail = _exact_tail(pmf, a, mode)
+        for r in best_bound(pmf, a, mode):
             ratio = r.value / exact_tail if exact_tail > 0 else None
             records.append((a, exact_tail, r.formula.value, r.value, ratio))
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = [
             {
                 "a": a,
-                "exact_tail": _fmt(t, cfg.exact),
+                "exact_tail": _render_rational(t, exact),
                 "formula": f,
-                "bound": _fmt(v, cfg.exact),
-                "ratio": None if ratio is None else _fmt(ratio, cfg.exact),
+                "bound": _render_rational(v, exact),
+                "ratio": None if ratio is None else _render_rational(ratio, exact),
             }
             for a, t, f, v, ratio in records
         ]
-        return json.dumps(payload, indent=2), EXIT_OK
+        return json.dumps(payload, indent=2)
     lines = ["a,exact_tail,formula,bound,ratio"]
     for a, t, f, v, ratio in records:
-        r_txt = "" if ratio is None else _fmt(ratio, cfg.exact)
-        lines.append(f"{a},{_fmt(t, cfg.exact)},{f},{_fmt(v, cfg.exact)},{r_txt}")
-    return "\n".join(lines), EXIT_OK
+        r_txt = "" if ratio is None else _render_rational(ratio, exact)
+        lines.append(
+            f"{a},{_render_rational(t, exact)},{f},{_render_rational(v, exact)},{r_txt}"
+        )
+    return "\n".join(lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,17 +272,20 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("bound", help="exact tail plus every applicable bound")
+    p.set_defaults(run=_run_bound)
     add_pmf_opts(p)
     p.add_argument("--a", required=True, type=int)
     p.add_argument("--mode", choices=["one-sided", "two-sided"], default="one-sided")
     add_format(p)
 
     p = sub.add_parser("decompose", help="mixture decomposition of a shaped pmf")
+    p.set_defaults(run=_run_decompose)
     add_pmf_opts(p)
     p.add_argument("--kind", choices=["uniform", "interval"], default="uniform")
     add_format(p, choices=("json",))
 
     p = sub.add_parser("extremal", help="construct a worst-case distribution")
+    p.set_defaults(run=_run_extremal)
     p.add_argument("--kind", choices=["discrete", "continuous"], default="discrete")
     p.add_argument("--a", required=True, type=int)
     p.add_argument("--mu", required=True)
@@ -302,12 +293,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p, choices=("json",))
 
     p = sub.add_parser("verify", help="tightness sweep of the sharpened Markov bound")
+    p.set_defaults(run=_run_verify)
     p.add_argument("--a", required=True, help="integer or range lo..hi")
     p.add_argument("--mu", required=True, help="comma-separated rationals")
     p.add_argument("--N", required=True, type=int, help="support cap for the oracle")
     add_format(p, choices=("json", "csv"))
 
     p = sub.add_parser("sweep", help="bound-vs-exact-tail ratios across thresholds")
+    p.set_defaults(run=_run_sweep)
     add_pmf_opts(p)
     p.add_argument("--a", required=True, help="integer or range lo..hi")
     p.add_argument("--mode", choices=["one-sided", "two-sided"], default="one-sided")
@@ -316,52 +309,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=args.subcommand)
-    cfg.output_format = getattr(args, "format", "json")
-    cfg.exact = not getattr(args, "as_float", False)
-    if args.subcommand in ("bound", "decompose", "sweep"):
-        cfg.pmf = _load_pmf(args)
-    if args.subcommand in ("bound", "sweep"):
-        mode = getattr(args, "mode", "one-sided")
-        cfg.mode = TailMode.ONE_SIDED_UPPER if mode == "one-sided" else TailMode.TWO_SIDED
-    if args.subcommand == "bound":
-        cfg.a = args.a
-    if args.subcommand == "decompose":
-        cfg.kind = args.kind
-    if args.subcommand == "extremal":
-        cfg.kind = args.kind
-        cfg.a = args.a
-        cfg.mu = as_rational(args.mu)
-        cfg.epsilon = args.epsilon
-    if args.subcommand == "verify":
-        cfg.a_values = _parse_int_range(args.a)
-        cfg.mu_values = _parse_rational_list(args.mu)
-        cfg.N = args.N
-    if args.subcommand == "sweep":
-        cfg.a_values = _parse_int_range(args.a)
-    return cfg
-
-
-_RUNNERS = {
-    "bound": _run_bound,
-    "decompose": _run_decompose,
-    "extremal": _run_extremal,
-    "verify": _run_verify,
-    "sweep": _run_sweep,
-}
-
-
-def run(cfg: RunConfig) -> tuple[str, int]:
-    return _RUNNERS[cfg.subcommand](cfg)
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(args)
-        output, code = run(cfg)
+        output = args.run(args)
     except (ValidationError, ShapeViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -372,7 +323,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"soundness violation: {exc}", file=sys.stderr)
         return EXIT_SOUNDNESS
     print(output)
-    return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

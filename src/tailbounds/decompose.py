@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from ._record import Record
-from .dist_core import Pmf, RationalLike, as_rational, make_pmf, shape
+from .dist_core import Pmf, as_rational, check_int, make_pmf, shape
 from .errors import ShapeViolationError, ValidationError
 
 
@@ -30,8 +30,7 @@ class UniformMixture(Record):
             self, "atoms", {i: w for i, w in sorted(self.atoms.items()) if w != 0}
         )
         for i, w in self.atoms.items():
-            if not isinstance(i, int) or i < 0:
-                raise ValidationError(f"mixture atom index must be an integer >= 0: {i!r}")
+            check_int(i, "mixture atom index", 0)
             if w < 0:
                 raise ValidationError(f"mixture weight for atom {i} is negative: {w}")
         if sum(self.atoms.values()) != 1:
@@ -67,8 +66,8 @@ class IntervalMixture(Record):
             self, "atoms", {iv: w for iv, w in sorted(self.atoms.items()) if w != 0}
         )
         for (l, r), w in self.atoms.items():
-            if not (isinstance(l, int) and isinstance(r, int) and l <= r):
-                raise ValidationError(f"invalid interval ({l}, {r})")
+            check_int(l, "interval left end")
+            check_int(r, "interval right end", l)
             if w < 0:
                 raise ValidationError(f"interval weight for ({l}, {r}) is negative: {w}")
         if sum(self.atoms.values()) != 1:
@@ -181,8 +180,7 @@ def flatten_head(p: Pmf, a: int) -> Pmf:
     still decreasing, has the same mean, and its tail at a has not
     decreased.  A pmf whose head is already flat is a fixed point.
     """
-    if not isinstance(a, int) or a < 1:
-        raise ValidationError("flatten_head threshold must be an integer >= 1")
+    check_int(a, "flatten_head threshold", 1)
     if not shape(p).is_decreasing:
         raise ShapeViolationError("flatten_head needs a decreasing pmf")
     w = list(p.weights)
@@ -230,8 +228,7 @@ def merge_tail_atoms(m: UniformMixture, a: int) -> UniformMixture:
     represented pmf's tail at a; the loop ends with the atoms >= a
     confined to two adjacent indices.
     """
-    if not isinstance(a, int) or a < 1:
-        raise ValidationError("merge threshold must be an integer >= 1")
+    check_int(a, "merge threshold", 1)
     if not m.atoms:
         return m
     atoms = dict(m.atoms)
@@ -254,8 +251,7 @@ def reduce_three_atoms(m: UniformMixture, a: int) -> UniformMixture:
     the tail does not decrease.  Inputs that already have a zero among
     the three weights come back unchanged.
     """
-    if not isinstance(a, int) or a < 1:
-        raise ValidationError("reduction threshold must be an integer >= 1")
+    check_int(a, "reduction threshold", 1)
     positive = sorted(i for i, w in m.atoms.items() if w > 0)
     nonzero = [i for i in positive if i != 0]
     if not nonzero:

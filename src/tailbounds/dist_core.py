@@ -16,14 +16,44 @@ from .errors import ValidationError
 RationalLike = Union[int, float, str, Fraction]
 
 
+def check_int(value: object, name: str, minimum: Optional[int] = None) -> None:
+    """Raise ValidationError unless ``value`` is an int, not a bool, and >= ``minimum``.
+
+    The message reads "<name> must be an integer" plus " >= <minimum>"
+    when a minimum is given.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (minimum is not None and value < minimum)
+    ):
+        at_least = "" if minimum is None else f" >= {minimum}"
+        raise ValidationError(f"{name} must be an integer{at_least}")
+
+
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions, floats and strings like ``2/3`` or ``0.5``."""
+    """Coerce ints, Fractions, floats and strings like ``2/3`` or ``0.5``.
+
+    ``bool`` is rejected: ``True`` is not a rational input.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ValidationError(f"not a rational number: {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ValidationError(f"not a rational number: {value!r}") from exc
+
+
+def _render_rational(value: Union[Fraction, float], exact: bool) -> Union[str, float]:
+    """JSON form of a result: ``"num/den"``, or a float when not ``exact``.
+
+    Float results (the continuous formulas) pass through unchanged.
+    """
+    if isinstance(value, Fraction):
+        return str(value) if exact else float(value)
+    return value
 
 
 class Pmf(Record):
@@ -82,8 +112,7 @@ class Pmf(Record):
             raise ValidationError(
                 "pmf JSON must be an object with 'offset' and 'weights'"
             ) from exc
-        if not isinstance(offset, int):
-            raise ValidationError("pmf 'offset' must be an integer")
+        check_int(offset, "pmf 'offset'")
         return make_pmf(offset, [as_rational(w) for w in raw])
 
 
@@ -102,8 +131,7 @@ class ShapeReport(Record):
 
 def make_pmf(offset: int, weights: Sequence[RationalLike]) -> Pmf:
     """Build a canonical pmf, rescaling weights by their exact sum."""
-    if not isinstance(offset, int):
-        raise ValidationError("offset must be an integer")
+    check_int(offset, "offset")
     ws = [as_rational(w) for w in weights]
     if not ws:
         raise ValidationError("pmf needs at least one weight")
@@ -146,8 +174,7 @@ def variance(p: Pmf) -> Fraction:
 
 def tail(p: Pmf, a: int) -> Fraction:
     """Exact P(X >= a); 1 when a is at or below the support minimum."""
-    if not isinstance(a, int):
-        raise ValidationError("tail threshold must be an integer")
+    check_int(a, "tail threshold")
     idx = max(0, a - p.offset)
     return sum(p.weights[idx:], Fraction(0))
 

@@ -20,7 +20,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from ._record import Record
 from .decompose import IntervalMixture, UniformMixture, mixture_tail
-from .dist_core import RationalLike, as_rational
+from .dist_core import RationalLike, _render_rational, as_rational, check_int
 from .errors import InfeasibleError, SoundnessViolationError, ValidationError
 
 
@@ -46,12 +46,8 @@ class ExtremalSpec(Record):
             out["atoms"] = self.mixture.to_dict()["atoms"]
         if self.epsilon is not None:
             out.update(epsilon=self.epsilon, a=self.threshold, p=self.mix_weight)
-        for name in ("achieved_tail", "bound_value"):
-            v = getattr(self, name)
-            if isinstance(v, Fraction):
-                out[name] = str(v) if exact else float(v)
-            else:
-                out[name] = v
+        out["achieved_tail"] = _render_rational(self.achieved_tail, exact)
+        out["bound_value"] = _render_rational(self.bound_value, exact)
         return out
 
 
@@ -77,12 +73,6 @@ class TightnessRow(Record):
     note: str = ""
 
 
-def _check_a(a: int) -> int:
-    if not isinstance(a, int) or isinstance(a, bool) or a < 1:
-        raise ValidationError("threshold a must be an integer >= 1")
-    return a
-
-
 def extremal_markov_discrete(a: int, mu: RationalLike) -> ExtremalSpec:
     """Two-atom mixture achieving tail exactly mu / (2a - 1).
 
@@ -90,7 +80,7 @@ def extremal_markov_discrete(a: int, mu: RationalLike) -> ExtremalSpec:
     0 < mu <= (2a - 1)/2.  The alternative maximizer uses {0..2a-2} and
     achieves the same tail.
     """
-    a = _check_a(a)
+    check_int(a, "threshold a", 1)
     mu = as_rational(mu)
     if mu <= 0:
         raise ValidationError("mean must be positive")
@@ -103,7 +93,10 @@ def extremal_markov_discrete(a: int, mu: RationalLike) -> ExtremalSpec:
     mixture = UniformMixture({0: 1 - d_top, top: d_top})
     achieved = mixture_tail(mixture, a)
     bound = mu / top
-    assert achieved == bound
+    if achieved != bound:
+        raise SoundnessViolationError(
+            f"two-atom construction reaches tail {achieved}, not the bound {bound}"
+        )
     return ExtremalSpec(
         kind=ExtremalKind.DISCRETE_TWO_ATOM,
         achieved_tail=achieved,
@@ -207,10 +200,9 @@ def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
     the bracketing hull edge is checked as a dual certificate before the
     result is returned.
     """
-    a = _check_a(a)
+    check_int(a, "threshold a", 1)
     mu = as_rational(mu)
-    if not isinstance(N, int) or N < 2 * a:
-        raise ValidationError("support cap N must be an integer >= 2a")
+    check_int(N, "support cap N", 2 * a)
     if mu <= 0 or 2 * mu > N:
         raise InfeasibleError(
             f"decreasing pmfs on {{0..{N}}} have mean in (0, {Fraction(N, 2)}]; got mu = {mu}"
@@ -384,13 +376,12 @@ def lp_max_two_sided_unimodal(
     infeasible, Farkas) certificate is checked before the maximum over c
     is returned; the first c wins ties.
     """
-    a = _check_a(a)
+    check_int(a, "threshold a", 1)
     mu = as_rational(mu)
     var = as_rational(var)
     if var < 0:
         raise ValidationError("variance must be nonnegative")
-    if not isinstance(N, int) or N < 1:
-        raise ValidationError("window radius N must be an integer >= 1")
+    check_int(N, "window radius N", 1)
     lo = math.ceil(mu - N)
     hi = math.floor(mu + N)
     if lo > hi:
@@ -458,7 +449,7 @@ def verify_tightness_theorem2(
     """
     rows: list[TightnessRow] = []
     for a in a_values:
-        a = _check_a(a)
+        check_int(a, "threshold a", 1)
         for mu_raw in mu_grid:
             mu = as_rational(mu_raw)
             bound = mu / (2 * a - 1)

@@ -21,12 +21,7 @@ from tailbounds import (
     ValidationError,
     as_rational,
 )
-
-
-def _check_a(a: int) -> int:
-    if not isinstance(a, int) or a < 1:
-        raise ValidationError("threshold a must be an integer >= 1")
-    return a
+from tailbounds.dist_core import check_int
 
 
 def reference_max_tail_decreasing(a: int, mu, N: int) -> OracleResult:
@@ -35,10 +30,9 @@ def reference_max_tail_decreasing(a: int, mu, N: int) -> OracleResult:
     Enumerates every atom pair (i, j) with i <= 2mu <= j and solves the
     two moment equations for it exactly.
     """
-    a = _check_a(a)
+    check_int(a, "threshold a", 1)
     mu = as_rational(mu)
-    if not isinstance(N, int) or N < 2 * a:
-        raise ValidationError("support cap N must be an integer >= 2a")
+    check_int(N, "support cap N", 2 * a)
     if mu <= 0 or 2 * mu > N:
         raise InfeasibleError(
             f"decreasing pmfs on {{0..{N}}} have mean in (0, {Fraction(N, 2)}]; got mu = {mu}"
@@ -89,13 +83,12 @@ def reference_max_two_sided_unimodal(a: int, mu, var, N: int) -> OracleResult:
     Enumerates all singles, pairs and triples of intervals with a common
     point and solves each basis by Cramer's rule in exact integers.
     """
-    a = _check_a(a)
+    check_int(a, "threshold a", 1)
     mu = as_rational(mu)
     var = as_rational(var)
     if var < 0:
         raise ValidationError("variance must be nonnegative")
-    if not isinstance(N, int) or N < 1:
-        raise ValidationError("window radius N must be an integer >= 1")
+    check_int(N, "window radius N", 1)
     lo = math.ceil(mu - N)
     hi = math.floor(mu + N)
     if lo > hi:

@@ -5,17 +5,29 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tailbounds import (
+    IntervalMixture,
     Pmf,
+    UniformMixture,
     ValidationError,
     as_rational,
+    best_bound,
+    chebyshev_unimodal,
+    extremal_markov_discrete,
+    flatten_head,
+    lp_max_tail_decreasing,
+    lp_max_two_sided_unimodal,
     make_pmf,
+    markov_decreasing,
     mean,
+    merge_tail_atoms,
     point_pmf,
+    reduce_three_atoms,
     shape,
     tail,
     two_sided_tail,
     uniform_pmf,
     variance,
+    verify_tightness_theorem2,
 )
 
 
@@ -33,6 +45,37 @@ class TestAsRational:
     def test_non_finite_floats_rejected(self, value):
         with pytest.raises(ValidationError):
             as_rational(value)
+
+
+# Every public entry point that takes an integer, called with True where
+# the integer goes and otherwise valid arguments; True is not the integer 1.
+BOOL_AS_INTEGER = {
+    "tail": lambda: tail(uniform_pmf(0, 3), True),
+    "best_bound": lambda: best_bound(uniform_pmf(0, 3), True),
+    "markov_decreasing": lambda: markov_decreasing(1, True),
+    "chebyshev_unimodal": lambda: chebyshev_unimodal(1, True),
+    "flatten_head": lambda: flatten_head(uniform_pmf(0, 3), True),
+    "merge_tail_atoms": lambda: merge_tail_atoms(UniformMixture({1: F(1)}), True),
+    "reduce_three_atoms": lambda: reduce_three_atoms(UniformMixture({1: F(1)}), True),
+    "make_pmf-offset": lambda: make_pmf(True, [1]),
+    "from_dict-offset": lambda: Pmf.from_dict({"offset": True, "weights": ["1"]}),
+    "as_rational": lambda: as_rational(True),
+    "UniformMixture-index": lambda: UniformMixture({True: F(1)}),
+    "IntervalMixture-left": lambda: IntervalMixture({(True, 1): F(1)}),
+    "IntervalMixture-right": lambda: IntervalMixture({(0, True): F(1)}),
+    "extremal_markov_discrete": lambda: extremal_markov_discrete(True, F(1, 2)),
+    "lp_max_tail_decreasing-a": lambda: lp_max_tail_decreasing(True, F(1, 2), 10),
+    "lp_max_tail_decreasing-N": lambda: lp_max_tail_decreasing(1, F(1, 2), True),
+    "lp_max_two_sided_unimodal-a": lambda: lp_max_two_sided_unimodal(True, 0, 1, 4),
+    "lp_max_two_sided_unimodal-N": lambda: lp_max_two_sided_unimodal(1, 0, 0, True),
+    "verify_tightness_theorem2": lambda: verify_tightness_theorem2([True], [F(1, 2)], 10),
+}
+
+
+@pytest.mark.parametrize("call", BOOL_AS_INTEGER.values(), ids=BOOL_AS_INTEGER.keys())
+def test_bool_rejected_as_integer(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 class TestMakePmf:

@@ -53,12 +53,6 @@ class TestExtremalMarkovDiscrete:
         with pytest.raises(InfeasibleError, match="17/2"):
             extremal_markov_discrete(9, 10)
 
-    def test_bool_threshold_rejected(self):
-        with pytest.raises(ValidationError):
-            extremal_markov_discrete(True, F(1, 2))
-        with pytest.raises(ValidationError):
-            lp_max_tail_decreasing(True, F(1, 2), 10)
-
     def test_construction_properties(self):
         for a, mu in [(1, F(1, 4)), (3, F(3, 2)), (9, F(17, 4)), (12, F(11))]:
             spec = extremal_markov_discrete(a, mu)

@@ -5,7 +5,8 @@ formulas for the continuous half-bounds, and two exact LP oracles that
 share no code with the formulas: an upper concave hull over decreasing
 pmfs, which checks the sharpened Markov bound and its tightness, and a
 certified three-row simplex over unimodal pmfs, which probes the sharpened
-Chebyshev bound.  Each oracle checks a dual certificate before returning.
+Chebyshev bound.  Both emit a (solution, dual, det) certificate for their
+integer-column LP, and one checker verifies it before either returns.
 """
 
 __version__ = "0.1.0"

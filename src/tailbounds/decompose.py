@@ -13,7 +13,7 @@ from typing import Mapping
 
 from ._record import Record
 from .dist_core import Pmf, as_rational, check_int, make_pmf, shape
-from .errors import ShapeViolationError, ValidationError
+from .errors import ShapeViolationError, SoundnessViolationError, ValidationError
 
 
 class UniformMixture(Record):
@@ -26,13 +26,13 @@ class UniformMixture(Record):
     atoms: Mapping[int, Fraction]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "atoms", {i: w for i, w in sorted(self.atoms.items()) if w != 0}
-        )
         for i, w in self.atoms.items():
             check_int(i, "mixture atom index", 0)
             if w < 0:
                 raise ValidationError(f"mixture weight for atom {i} is negative: {w}")
+        object.__setattr__(
+            self, "atoms", {i: w for i, w in sorted(self.atoms.items()) if w != 0}
+        )
         if sum(self.atoms.values()) != 1:
             raise ValidationError("mixture weights must sum to exactly 1")
 
@@ -62,14 +62,14 @@ class IntervalMixture(Record):
     atoms: Mapping[tuple[int, int], Fraction]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "atoms", {iv: w for iv, w in sorted(self.atoms.items()) if w != 0}
-        )
         for (l, r), w in self.atoms.items():
             check_int(l, "interval left end")
             check_int(r, "interval right end", l)
             if w < 0:
                 raise ValidationError(f"interval weight for ({l}, {r}) is negative: {w}")
+        object.__setattr__(
+            self, "atoms", {iv: w for iv, w in sorted(self.atoms.items()) if w != 0}
+        )
         if sum(self.atoms.values()) != 1:
             raise ValidationError("interval weights must sum to exactly 1")
         if self.atoms:
@@ -150,8 +150,10 @@ def unimodal_to_interval_mixture(p: Pmf) -> IntervalMixture:
     for level in levels:
         idx = [k for k, v in enumerate(w) if v >= level]
         l, r = idx[0], idx[-1]
-        # Super-level sets of a unimodal sequence are contiguous.
-        assert idx == list(range(l, r + 1))
+        if idx != list(range(l, r + 1)):
+            raise SoundnessViolationError(
+                f"super-level set {level} of a unimodal pmf is not contiguous"
+            )
         atoms[(p.offset + l, p.offset + r)] = (level - prev) * (r - l + 1)
         prev = level
     return IntervalMixture(atoms)
@@ -197,7 +199,7 @@ def flatten_head(p: Pmf, a: int) -> Pmf:
             w[j] -= inner
         w[i + 1] += outer
     else:  # pragma: no cover - each pass removes one jump
-        raise AssertionError("flatten_head failed to terminate")
+        raise SoundnessViolationError("flatten_head failed to terminate")
     return make_pmf(0, w)
 
 
@@ -237,7 +239,7 @@ def merge_tail_atoms(m: UniformMixture, a: int) -> UniformMixture:
     for _ in range(cap):
         if not _merge_step(atoms, a):
             return UniformMixture(atoms)
-    raise AssertionError("merge_tail_atoms exceeded its iteration cap")
+    raise SoundnessViolationError("merge_tail_atoms exceeded its iteration cap")
 
 
 def reduce_three_atoms(m: UniformMixture, a: int) -> UniformMixture:

@@ -5,11 +5,13 @@ continuous epsilon-mixture) sit next to two independent oracles that
 maximize tail probability over moment classes by solving the equivalent
 linear programs in exact integer arithmetic: an upper concave hull for
 decreasing pmfs, and a small two-phase simplex per common point for
-unimodal ones.  Each oracle checks a dual certificate for its optimum
-before returning, so a wrong pivot surfaces as SoundnessViolationError
-rather than as a wrong value.  The oracles deliberately share no code
-with the bound formulas: agreement between the two routes is the
-verification.
+unimodal ones.  Both state their LP as max obj.u, A u = b, u >= 0 with
+integer columns, and both emit a (solution, dual, det) triple that the
+one checker, :func:`_check_certificate`, verifies before the oracle
+returns, so a wrong hull edge or pivot surfaces as
+SoundnessViolationError rather than as a wrong value.  The oracles
+deliberately share no code with the bound formulas: agreement between
+the two routes is the verification.
 """
 from __future__ import annotations
 
@@ -134,6 +136,51 @@ def extremal_markov_continuous(a: float, mu: float, epsilon: float) -> ExtremalS
     )
 
 
+Column = tuple[int, int, int]
+
+
+def _dot(u: Column, v: Column) -> int:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _check_certificate(
+    A: Sequence[Column],
+    obj: Sequence[int],
+    b: Column,
+    y: Column,
+    det: int,
+    solution: Optional[dict[int, int]],
+) -> Optional[int]:
+    """Return the certified optimum of max obj.u, A u = b, u >= 0, scaled by ``det``.
+
+    With a ``solution`` (weights scaled by ``det > 0``), it must be
+    feasible and ``y / det`` dual feasible, y.A_j >= det * obj_j on every
+    column, with y.b equal to the scaled primal value; weak duality then
+    bounds every feasible u by that value, which is returned.  With
+    ``solution`` None, ``y`` must be a Farkas vector: y.A_j >= 0 on every
+    column and y.b < 0, so no u >= 0 solves A u = b, and None is
+    returned.  Raises SoundnessViolationError otherwise.
+    """
+    y0, y1, y2 = y
+    scale = 0 if solution is None else det
+    for j, (a0, a1, a2) in enumerate(A):
+        if y0 * a0 + y1 * a1 + y2 * a2 < scale * obj[j]:
+            raise SoundnessViolationError(f"dual certificate fails on column {j}")
+    yb = _dot(y, b)
+    if solution is None:
+        if yb >= 0:
+            raise SoundnessViolationError("Farkas vector does not separate b")
+        return None
+    if det <= 0 or any(x < 0 or not 0 <= j < len(A) for j, x in solution.items()):
+        raise SoundnessViolationError("primal solution is not a nonnegative basis")
+    for i in range(3):
+        if sum(A[j][i] * x for j, x in solution.items()) != det * b[i]:
+            raise SoundnessViolationError(f"primal solution violates constraint row {i}")
+    if sum(obj[j] * x for j, x in solution.items()) != yb:
+        raise SoundnessViolationError("dual bound differs from the primal value")
+    return yb
+
+
 def _upper_hull(us: Sequence[int]) -> list[int]:
     """Vertices of the upper concave envelope of the points (i, us[i] / (i + 1)).
 
@@ -156,49 +203,18 @@ def _upper_hull(us: Sequence[int]) -> list[int]:
     return hull
 
 
-def _check_line_certificate(
-    us: Sequence[int],
-    line: tuple[int, int, int],
-    two_mu: Fraction,
-    atoms: dict[int, Fraction],
-) -> Fraction:
-    """Return the value of ``atoms`` after checking that ``line`` proves it maximal.
-
-    The problem is max sum d_i c_i subject to sum d_i = 1, sum i d_i = 2mu,
-    d >= 0, with c_i = us[i] / (i + 1).  ``line = (y0, y1, den)`` is the
-    dual solution y(x) = (y0 + y1 x) / den.  It is feasible when it lies on
-    or above every point (i, c_i); by weak duality its value at 2mu then
-    bounds every feasible mixture, so a feasible ``atoms`` that reaches it
-    is optimal.  Raises SoundnessViolationError otherwise.
-    """
-    y0, y1, den = line
-    if den <= 0:
-        raise SoundnessViolationError(f"dual line has nonpositive denominator {den}")
-    for i, u in enumerate(us):
-        if u * den > (i + 1) * (y0 + y1 * i):
-            raise SoundnessViolationError(f"dual line passes below the point at i = {i}")
-    if (
-        any(w < 0 or not 0 <= i < len(us) for i, w in atoms.items())
-        or sum(atoms.values()) != 1
-        or sum(i * w for i, w in atoms.items()) != two_mu
-    ):
-        raise SoundnessViolationError("primal mixture is infeasible")
-    value = sum(w * Fraction(us[i], i + 1) for i, w in atoms.items())
-    if value * den != y0 + y1 * two_mu:
-        raise SoundnessViolationError(f"dual bound differs from the primal value {value}")
-    return value
-
-
 def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
     """Maximize P(X >= a) over decreasing pmfs on {0..N} with mean mu.
 
-    In uniform-mixture coordinates the problem is a linear program with
-    two equality constraints (total mass 1, E[D] = 2 mu), so its optimum
-    is the upper concave envelope of the points (i, (i - a + 1)^+ / (i + 1))
-    at x = 2 mu.  The envelope is built in exact integers, the argmax is
-    the one or two hull vertices that bracket 2 mu, and the line through
-    the bracketing hull edge is checked as a dual certificate before the
-    result is returned.
+    A decreasing pmf is a mixture of uniforms on {0..i} with weights d_i
+    (total mass 1, E[D] = 2 mu), so with u_i = d_i / (i + 1) and
+    2 mu = p / q the problem is max sum us_i u_i subject to A u = (1, p, 0),
+    u >= 0, where us_i = (i - a + 1)^+ and A_i = (i + 1, q i (i + 1), 0):
+    the integer column form of the two-sided oracle.  Its optimum is the
+    upper concave envelope of the points (i, us_i / (i + 1)) at x = 2 mu.
+    The envelope is built in exact integers; the basis is the hull edge
+    that brackets 2 mu, the dual is the line through that edge, and both
+    pass :func:`_check_certificate` before the result is returned.
     """
     check_int(a, "threshold a", 1)
     mu = as_rational(mu)
@@ -207,19 +223,23 @@ def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
         raise InfeasibleError(
             f"decreasing pmfs on {{0..{N}}} have mean in (0, {Fraction(N, 2)}]; got mu = {mu}"
         )
-    two_mu = 2 * mu
+    p, q = (2 * mu).numerator, (2 * mu).denominator
     us = [0] * (a - 1) + list(range(N - a + 2))  # us[i] = (i - a + 1)^+
     hull = _upper_hull(us)
     # hull[0] == 0 < 2mu <= N == hull[-1], so some edge brackets 2mu.
-    k = next(k for k, x in enumerate(hull) if x >= two_mu)
+    k = next(k for k, x in enumerate(hull) if q * x >= p)
     xl, xr = hull[k - 1], hull[k]
-    d_r = (two_mu - xl) / (xr - xl)
-    atoms = {xl: 1 - d_r, xr: d_r}
-    # The line through the edge: y(xl) = c_xl and y(xr) = c_xr.
-    slope = us[xr] * (xl + 1) - us[xl] * (xr + 1)
-    line = (us[xl] * (xr + 1) * (xr - xl) - slope * xl, slope, (xl + 1) * (xr + 1) * (xr - xl))
-    value = _check_line_certificate(us, line, two_mu, atoms)
-    return OracleResult(max_tail=value, argmax=UniformMixture(atoms), enumerated=N + 1)
+    det = q * (xl + 1) * (xr + 1) * (xr - xl)
+    solution = {xl: (xr + 1) * (q * xr - p), xr: (xl + 1) * (p - q * xl)}
+    # The line y0 + y1 x through the edge, scaled by det / q.
+    y1 = us[xr] * (xl + 1) - us[xl] * (xr + 1)
+    y0 = us[xl] * (xr + 1) * (xr - xl) - y1 * xl
+    A = [(i + 1, q * i * (i + 1), 0) for i in range(N + 1)]
+    num = _check_certificate(A, us, (1, p, 0), (q * y0, y1, 0), det, solution)
+    atoms = {i: Fraction((i + 1) * x, det) for i, x in solution.items()}
+    return OracleResult(
+        max_tail=Fraction(num, det), argmax=UniformMixture(atoms), enumerated=N + 1
+    )
 
 
 def _sum_of_squares(l: int, r: int) -> int:
@@ -229,12 +249,7 @@ def _sum_of_squares(l: int, r: int) -> int:
     return prefix(r) - prefix(l - 1)
 
 
-Column = tuple[int, int, int]
 _UNIT: tuple[Column, Column, Column] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def _dot(u: Column, v: Column) -> int:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _basis_inverse(A: Sequence[Column], basis: Sequence[int]) -> tuple[list[Column], int]:
@@ -324,44 +339,6 @@ def _simplex(
     return solution, y, det, pivots + more
 
 
-def _check_certificate(
-    A: Sequence[Column],
-    obj: Sequence[int],
-    b: Column,
-    y: Column,
-    det: int,
-    solution: Optional[dict[int, int]],
-) -> Optional[int]:
-    """Return the certified optimum of max obj.u, A u = b, u >= 0, scaled by ``det``.
-
-    With a ``solution`` (weights scaled by ``det > 0``), it must be
-    feasible and ``y / det`` dual feasible, y.A_j >= det * obj_j on every
-    column, with y.b equal to the scaled primal value; weak duality then
-    bounds every feasible u by that value, which is returned.  With
-    ``solution`` None, ``y`` must be a Farkas vector: y.A_j >= 0 on every
-    column and y.b < 0, so no u >= 0 solves A u = b, and None is
-    returned.  Raises SoundnessViolationError otherwise.
-    """
-    y0, y1, y2 = y
-    scale = 0 if solution is None else det
-    for j, (a0, a1, a2) in enumerate(A):
-        if y0 * a0 + y1 * a1 + y2 * a2 < scale * obj[j]:
-            raise SoundnessViolationError(f"dual certificate fails on column {j}")
-    yb = _dot(y, b)
-    if solution is None:
-        if yb >= 0:
-            raise SoundnessViolationError("Farkas vector does not separate b")
-        return None
-    if det <= 0 or any(x < 0 or not 0 <= j < len(A) for j, x in solution.items()):
-        raise SoundnessViolationError("primal solution is not a nonnegative basis")
-    for i in range(3):
-        if sum(A[j][i] * x for j, x in solution.items()) != det * b[i]:
-            raise SoundnessViolationError(f"primal solution violates constraint row {i}")
-    if sum(obj[j] * x for j, x in solution.items()) != yb:
-        raise SoundnessViolationError("dual bound differs from the primal value")
-    return yb
-
-
 def lp_max_two_sided_unimodal(
     a: int, mu: RationalLike, var: RationalLike, N: int
 ) -> OracleResult:
@@ -384,8 +361,6 @@ def lp_max_two_sided_unimodal(
     check_int(N, "window radius N", 1)
     lo = math.ceil(mu - N)
     hi = math.floor(mu + N)
-    if lo > hi:
-        raise InfeasibleError("window contains no integers")
     upper_cut = math.ceil(mu + a)  # k >= mu + a  <=>  k >= upper_cut
     lower_cut = math.floor(mu - a)  # k <= mu - a  <=>  k <= lower_cut
     s2 = var + mu * mu
@@ -445,7 +420,9 @@ def verify_tightness_theorem2(
     For every (a, mu) cell the oracle maximum is compared with
     mu / (2a - 1).  Equality must hold exactly whenever the two-atom
     construction is feasible (mu <= (2a - 1)/2); an oracle value above
-    the bound aborts, since that would disprove the bound itself.
+    the bound aborts, since that would disprove the bound itself.  A cell
+    the oracle finds infeasible (mu outside (0, N/2]) becomes a row with
+    no oracle value; invalid a or N raise ValidationError.
     """
     rows: list[TightnessRow] = []
     for a in a_values:
@@ -453,7 +430,9 @@ def verify_tightness_theorem2(
         for mu_raw in mu_grid:
             mu = as_rational(mu_raw)
             bound = mu / (2 * a - 1)
-            if mu <= 0 or 2 * mu > N:
+            try:
+                oracle = lp_max_tail_decreasing(a, mu, N).max_tail
+            except InfeasibleError:
                 rows.append(
                     TightnessRow(
                         a=a, mu=mu, oracle=None, bound=bound, equal=None,
@@ -461,7 +440,6 @@ def verify_tightness_theorem2(
                     )
                 )
                 continue
-            oracle = lp_max_tail_decreasing(a, mu, N).max_tail
             if oracle > bound:
                 raise SoundnessViolationError(
                     f"oracle {oracle} exceeds bound {bound} at a={a}, mu={mu}, N={N}"

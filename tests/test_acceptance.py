@@ -11,7 +11,6 @@ from fractions import Fraction as F
 import pytest
 
 from tailbounds import (
-    UniformMixture,
     best_bound,
     chebyshev_classical,
     chebyshev_continuous_unimodal,

@@ -201,6 +201,12 @@ class TestVerifyCommand:
              "note": ""}
         ]
 
+    @pytest.mark.parametrize("N", ["1", "-3"])
+    def test_invalid_cap_exits_3(self, capsys, N):
+        code, out, err = run_cli(capsys, "verify", "--a", "5", "--mu", "1", "--N", N)
+        assert code == 3 and out == ""
+        assert "support cap N must be an integer >= 10" in err
+
     def test_oracle_above_bound_exits_5(self, capsys, monkeypatch):
         import tailbounds.extremal
 

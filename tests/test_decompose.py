@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from tailbounds import (
     IntervalMixture,
+    ShapeReport,
     ShapeViolationError,
+    SoundnessViolationError,
     UniformMixture,
     ValidationError,
     flatten_head,
@@ -51,6 +53,22 @@ def unimodal_pmfs(st_draw, max_size=12):
     )
     offset = st_draw(st.integers(-6, 6))
     return make_pmf(offset, left + [peak] + right)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: UniformMixture({"a": F(1), 0: F(0)}),
+        lambda: UniformMixture({-1: F(0), 0: F(1)}),
+        lambda: IntervalMixture.from_dict(
+            {"atoms": [{"l": 0, "r": 1, "w": "1"}, {"l": "0", "r": 2, "w": "0"}]}
+        ),
+    ],
+    ids=["str-index-beside-int", "negative-index-zero-weight", "str-left-end-beside-int"],
+)
+def test_atoms_validated_before_sorting_and_dropping_zeros(build):
+    with pytest.raises(ValidationError):
+        build()
 
 
 class TestUniformMixture:
@@ -140,6 +158,18 @@ class TestIntervalMixture:
     def test_json_roundtrip(self):
         m = unimodal_to_interval_mixture(make_pmf(-1, [1, 2, 1]))
         assert IntervalMixture.from_dict(m.to_dict()) == m
+
+    def test_non_contiguous_level_set_is_soundness_violation(self, monkeypatch):
+        # A shape check that wrongly passes [2, 1, 2] leaves the level set
+        # {0, 2}; the decomposition must refuse it under python -O too.
+        import tailbounds.decompose
+
+        monkeypatch.setattr(
+            tailbounds.decompose, "shape",
+            lambda p: ShapeReport(is_decreasing=False, is_unimodal=True, mode=0),
+        )
+        with pytest.raises(SoundnessViolationError, match="not contiguous"):
+            unimodal_to_interval_mixture(make_pmf(0, [2, 1, 2]))
 
     @given(unimodal_pmfs())
     def test_roundtrip_identity(self, p):

@@ -7,7 +7,6 @@ import pytest
 from tailbounds import (
     ExtremalKind,
     InfeasibleError,
-    IntervalMixture,
     SoundnessViolationError,
     UniformMixture,
     ValidationError,
@@ -28,7 +27,7 @@ from tailbounds import (
     variance,
     verify_tightness_theorem2,
 )
-from tailbounds.extremal import _check_certificate, _check_line_certificate, _simplex
+from tailbounds.extremal import _check_certificate, _simplex
 
 from reference_oracles import reference_max_tail_decreasing, reference_max_two_sided_unimodal
 
@@ -223,6 +222,11 @@ class TestVerifyTightness:
         assert "construction infeasible" in rows[0].note
         assert rows[0].oracle == F(8, 9)
 
+    @pytest.mark.parametrize("N", [1, -3])
+    def test_invalid_cap_rejected_when_every_cell_infeasible(self, N):
+        with pytest.raises(ValidationError, match="support cap N"):
+            verify_tightness_theorem2([5], [1], N)
+
     def test_csv_shape(self):
         rows = verify_tightness_theorem2([2], [F(1, 2)], 10)
         csv = tightness_rows_to_csv(rows)
@@ -324,13 +328,21 @@ class TestCertificates:
             _check_certificate(self.A, self.obj, b, (-y[0], -y[1], -y[2]), det, None)
 
     def test_line_certificate_accepted_and_tampering_rejected(self):
-        us = [0, 1, 2, 3]  # a = 1: points (i, i / (i + 1)), 2mu = 3/2
-        edge = {1: F(1, 2), 2: F(1, 2)}
-        # y(x) = (2 + x) / 6 passes through (1, 1/2) and (2, 2/3).
-        assert _check_line_certificate(us, (2, 1, 6), F(3, 2), edge) == F(7, 12)
-        assert lp_max_tail_decreasing(1, F(3, 4), 3).max_tail == F(7, 12)
-        chord = {0: F(1, 2), 3: F(1, 2)}
-        with pytest.raises(SoundnessViolationError):
-            _check_line_certificate(us, (2, 1, 6), F(3, 2), chord)  # feasible, not tight
-        with pytest.raises(SoundnessViolationError):
-            _check_line_certificate(us, (0, 3, 12), F(3, 2), chord)  # y(1) = 1/4 < 1/2
+        # a = 1, N = 3, 2mu = p/q = 3/2: columns (i + 1, q i (i + 1), 0) over
+        # u_i = d_i / (i + 1), objective (i - a + 1)^+, right-hand side (1, p, 0).
+        A = [(i + 1, 2 * i * (i + 1), 0) for i in range(4)]
+        us = [0, 1, 2, 3]
+        b = (1, 3, 0)
+        # The hull edge {1, 2}: d = {1: 1/2, 2: 1/2} scaled by det = 12, and
+        # the line (2 + x) / 6 through (1, 1/2) and (2, 2/3) as y = (q * 2, 1, 0).
+        edge, y = {1: 3, 2: 2}, (4, 1, 0)
+        assert F(_check_certificate(A, us, b, y, 12, edge), 12) == F(7, 12)
+        res = lp_max_tail_decreasing(1, F(3, 4), 3)
+        assert res.max_tail == F(7, 12)
+        assert dict(res.argmax.atoms) == {1: F(1, 2), 2: F(1, 2)}
+        # The chord {0, 3}: d = {0: 1/2, 3: 1/2} scaled by det = 24.
+        chord = {0: 12, 3: 3}
+        with pytest.raises(SoundnessViolationError, match="differs"):
+            _check_certificate(A, us, b, (8, 2, 0), 24, chord)  # feasible, not tight
+        with pytest.raises(SoundnessViolationError, match="column 1"):
+            _check_certificate(A, us, b, (0, 3, 0), 24, chord)  # y(1) = 1/4 < 1/2

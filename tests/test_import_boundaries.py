@@ -5,7 +5,9 @@ formulas in ``bounds``, directly or through another package module: the
 two routes verify each other only while they share no formula code.  No
 module may import ``dataclasses``, which pulls in ``inspect`` and about a
 megabyte of modules at import time; value classes derive from
-``tailbounds._record.Record`` instead.
+``tailbounds._record.Record`` instead.  No module may use ``assert``,
+which ``python -O`` strips: internal invariants raise
+SoundnessViolationError.
 """
 import ast
 from pathlib import Path
@@ -63,3 +65,13 @@ def test_no_dataclasses(module):
     assert not any(
         name == "dataclasses" or name.startswith("dataclasses.") for name in IMPORTS[module]
     )
+
+
+def test_no_assert_statements():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -3,13 +3,14 @@
 A decreasing pmf on {0,1,...} is a convex combination of discrete
 uniforms {0..i}; a unimodal pmf is a convex combination of discrete
 uniforms on nested intervals (its super-level sets).  Both directions
-are exact, and the mass-redistribution transforms used to push a
-decreasing pmf towards its extremal two-atom form live here as well.
+are exact.  The proof transforms that push a decreasing pmf towards its
+extremal two-atom form, in closed form, live here as well.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping
+from functools import partial
+from typing import Callable, Mapping
 
 from ._record import Record
 from .dist_core import Pmf, as_rational, check_int, make_pmf, shape
@@ -26,15 +27,8 @@ class UniformMixture(Record):
     atoms: Mapping[int, Fraction]
 
     def __post_init__(self) -> None:
-        for i, w in self.atoms.items():
-            check_int(i, "mixture atom index", 0)
-            if w < 0:
-                raise ValidationError(f"mixture weight for atom {i} is negative: {w}")
-        object.__setattr__(
-            self, "atoms", {i: w for i, w in sorted(self.atoms.items()) if w != 0}
-        )
-        if sum(self.atoms.values()) != 1:
-            raise ValidationError("mixture weights must sum to exactly 1")
+        check_index = partial(check_int, name="mixture atom index", minimum=0)
+        object.__setattr__(self, "atoms", _canonical_atoms(self.atoms, check_index, "mixture"))
 
     def weight(self, i: int) -> Fraction:
         return self.atoms.get(i, Fraction(0))
@@ -46,7 +40,7 @@ class UniformMixture(Record):
     def from_dict(cls, obj: dict) -> "UniformMixture":
         try:
             raw = obj["atoms"]
-            atoms = {int(i): as_rational(w) for i, w in raw.items()}
+            atoms = {int(i): w for i, w in raw.items()}
         except (TypeError, KeyError, ValueError) as exc:
             raise ValidationError("uniform mixture JSON must be {'atoms': {i: 'num/den'}}") from exc
         return cls(atoms)
@@ -62,19 +56,9 @@ class IntervalMixture(Record):
     atoms: Mapping[tuple[int, int], Fraction]
 
     def __post_init__(self) -> None:
-        for (l, r), w in self.atoms.items():
-            check_int(l, "interval left end")
-            check_int(r, "interval right end", l)
-            if w < 0:
-                raise ValidationError(f"interval weight for ({l}, {r}) is negative: {w}")
-        object.__setattr__(
-            self, "atoms", {iv: w for iv, w in sorted(self.atoms.items()) if w != 0}
-        )
-        if sum(self.atoms.values()) != 1:
-            raise ValidationError("interval weights must sum to exactly 1")
-        if self.atoms:
-            if max(l for l, _ in self.atoms) > min(r for _, r in self.atoms):
-                raise ValidationError("intervals must share a common point")
+        object.__setattr__(self, "atoms", _canonical_atoms(self.atoms, _check_interval, "interval"))
+        if max(l for l, _ in self.atoms) > min(r for _, r in self.atoms):
+            raise ValidationError("intervals must share a common point")
 
     def to_dict(self) -> dict:
         return {
@@ -86,15 +70,38 @@ class IntervalMixture(Record):
     @classmethod
     def from_dict(cls, obj: dict) -> "IntervalMixture":
         try:
-            atoms = {
-                (entry["l"], entry["r"]): as_rational(entry["w"])
-                for entry in obj["atoms"]
-            }
+            atoms = {(entry["l"], entry["r"]): entry["w"] for entry in obj["atoms"]}
         except (TypeError, KeyError) as exc:
             raise ValidationError(
                 "interval mixture JSON must be {'atoms': [{'l','r','w'}]}"
             ) from exc
         return cls(atoms)
+
+
+def _check_interval(key: object) -> None:
+    if not (isinstance(key, tuple) and len(key) == 2):
+        raise ValidationError(f"interval key must be a pair (l, r); got {key!r}")
+    check_int(key[0], "interval left end")
+    check_int(key[1], "interval right end", key[0])
+
+
+def _canonical_atoms(atoms: Mapping, check_key: Callable[[object], None], kind: str) -> dict:
+    """Sorted atoms with ``Fraction`` weights, zero weights dropped.
+
+    Every atom is checked before any is sorted, so a malformed key beside
+    a valid one raises ValidationError, not a TypeError from the sort.
+    """
+    checked = []
+    for key, raw in atoms.items():
+        check_key(key)
+        w = as_rational(raw)
+        if w < 0:
+            raise ValidationError(f"{kind} weight for atom {key!r} is negative: {w}")
+        checked.append((key, w))
+    canonical = {key: w for key, w in sorted(checked) if w != 0}
+    if sum(canonical.values()) != 1:
+        raise ValidationError(f"{kind} weights must sum to exactly 1")
+    return canonical
 
 
 def mixture_mean(m: UniformMixture) -> Fraction:
@@ -103,7 +110,9 @@ def mixture_mean(m: UniformMixture) -> Fraction:
 
 
 def mixture_tail(m: UniformMixture, a: int) -> Fraction:
-    """P(X >= a) of the represented pmf, computed atomwise."""
+    """P(X >= a) of the represented pmf, computed atomwise; 1 when a <= 0."""
+    check_int(a, "tail threshold")
+    a = max(a, 0)
     return sum(
         (w * Fraction(max(0, i - a + 1), i + 1) for i, w in m.atoms.items()),
         Fraction(0),
@@ -126,8 +135,6 @@ def to_uniform_mixture(p: Pmf) -> UniformMixture:
 
 def from_uniform_mixture(m: UniformMixture) -> Pmf:
     """The unique decreasing pmf with P(X = k) = sum_{i >= k} d_i/(i+1)."""
-    if not m.atoms:
-        raise ValidationError("empty mixture")
     n = max(m.atoms)
     acc = Fraction(0)
     weights = [Fraction(0)] * (n + 1)
@@ -161,8 +168,6 @@ def unimodal_to_interval_mixture(p: Pmf) -> IntervalMixture:
 
 def from_interval_mixture(m: IntervalMixture) -> Pmf:
     """Reconstruct the pmf represented by an interval mixture."""
-    if not m.atoms:
-        raise ValidationError("empty mixture")
     lo = min(l for l, _ in m.atoms)
     hi = max(r for _, r in m.atoms)
     weights = [Fraction(0)] * (hi - lo + 1)
@@ -174,72 +179,40 @@ def from_interval_mixture(m: IntervalMixture) -> Pmf:
 
 
 def flatten_head(p: Pmf, a: int) -> Pmf:
-    """Redistribute mass so the weights at positions 1..a become equal.
+    """End point of the proof's moves that level positions 1..a.
 
-    Repeatedly takes the smallest i < a with a jump p_{i+1} < p_i and
-    moves the jump's mass towards 0 and towards i+1 in the unique
-    mean-preserving way that levels positions i and i+1.  The result is
-    still decreasing, has the same mean, and its tail at a has not
-    decreased.  A pmf whose head is already flat is a fixed point.
+    Each move levels the first jump p_{i+1} < p_i with i < a, keeping the
+    mass and first moment on {0..a} and every weight beyond a, and the
+    moves stop once 1..a is flat.  So the end point has p_1..p_a equal to
+    h = 2 sum_{k=1..a} k p_k / (a(a+1)) and p_0 holding the rest of the
+    mass on {0..a}: decreasing, same mean, tail at a not decreased.
     """
     check_int(a, "flatten_head threshold", 1)
     if not shape(p).is_decreasing:
         raise ShapeViolationError("flatten_head needs a decreasing pmf")
     w = list(p.weights)
-    w.extend([Fraction(0)] * max(0, a + 2 - len(w)))
-    for _ in range(a + 1):
-        i = next((i for i in range(1, a) if w[i + 1] < w[i]), None)
-        if i is None:
-            break
-        g = w[i] - w[i + 1]
-        outer = g * Fraction(i, i + 2)
-        inner = g * Fraction(2, i + 2)
-        w[0] += outer
-        for j in range(1, i + 1):
-            w[j] -= inner
-        w[i + 1] += outer
-    else:  # pragma: no cover - each pass removes one jump
-        raise SoundnessViolationError("flatten_head failed to terminate")
-    return make_pmf(0, w)
-
-
-def _merge_step(atoms: dict[int, Fraction], a: int) -> bool:
-    """One tail-merge move; returns False when no pair qualifies.
-
-    Picks the smallest i and largest j with a <= i, i + 2 <= j and both
-    weights positive, then moves min(d_i, d_j) from i to i+1 and from j
-    to j-1.  This preserves E[D] and strictly increases the represented
-    pmf's tail at a.
-    """
-    candidates = sorted(i for i, w in atoms.items() if i >= a and w > 0)
-    if len(candidates) < 2 or candidates[-1] < candidates[0] + 2:
-        return False
-    i, j = candidates[0], candidates[-1]
-    moved = min(atoms[i], atoms[j])
-    for k, delta in ((i, -moved), (i + 1, moved), (j - 1, moved), (j, -moved)):
-        atoms[k] = atoms.get(k, Fraction(0)) + delta
-        if atoms[k] == 0:
-            del atoms[k]
-    return True
+    w.extend([Fraction(0)] * max(0, a + 1 - len(w)))
+    h = Fraction(2 * sum(k * w[k] for k in range(1, a + 1)), a * (a + 1))
+    return make_pmf(0, [sum(w[: a + 1]) - a * h] + [h] * a + w[a + 1 :])
 
 
 def merge_tail_atoms(m: UniformMixture, a: int) -> UniformMixture:
-    """Merge mixture atoms at or beyond a until at most two adjacent remain.
+    """End point of the proof's moves that merge the atoms at or beyond a.
 
-    Each move preserves the mixture mean and strictly increases the
-    represented pmf's tail at a; the loop ends with the atoms >= a
-    confined to two adjacent indices.
+    Each move shifts min(d_i, d_j) one step inwards from the outermost
+    atoms a <= i, i + 2 <= j, keeping the mean, M = sum_{i>=a} d_i and
+    S = sum_{i>=a} i d_i and raising the tail at a; the moves stop on two
+    adjacent indices.  So the end point is d_k = (k+1)M - S and
+    d_{k+1} = S - kM with k = floor(S/M); atoms below a are unchanged.
     """
     check_int(a, "merge threshold", 1)
-    if not m.atoms:
+    M = sum(w for i, w in m.atoms.items() if i >= a)
+    if M == 0:
         return m
-    atoms = dict(m.atoms)
-    # The proof guarantees termination; the cap only guards against bugs.
-    cap = (max(atoms) + 1) ** 2
-    for _ in range(cap):
-        if not _merge_step(atoms, a):
-            return UniformMixture(atoms)
-    raise SoundnessViolationError("merge_tail_atoms exceeded its iteration cap")
+    S = sum(i * w for i, w in m.atoms.items() if i >= a)
+    k = S // M
+    below = {i: w for i, w in m.atoms.items() if i < a}
+    return UniformMixture({**below, k: (k + 1) * M - S, k + 1: S - k * M})
 
 
 def reduce_three_atoms(m: UniformMixture, a: int) -> UniformMixture:

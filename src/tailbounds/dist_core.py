@@ -113,6 +113,8 @@ class Pmf(Record):
                 "pmf JSON must be an object with 'offset' and 'weights'"
             ) from exc
         check_int(offset, "pmf 'offset'")
+        if not isinstance(raw, (list, tuple)):
+            raise ValidationError("pmf 'weights' must be an array of weights")
         return make_pmf(offset, [as_rational(w) for w in raw])
 
 

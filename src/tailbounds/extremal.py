@@ -425,10 +425,10 @@ def verify_tightness_theorem2(
     no oracle value; invalid a or N raise ValidationError.
     """
     rows: list[TightnessRow] = []
+    mus = [as_rational(mu) for mu in mu_grid]
     for a in a_values:
         check_int(a, "threshold a", 1)
-        for mu_raw in mu_grid:
-            mu = as_rational(mu_raw)
+        for mu in mus:
             bound = mu / (2 * a - 1)
             try:
                 oracle = lp_max_tail_decreasing(a, mu, N).max_tail

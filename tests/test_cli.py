@@ -103,6 +103,14 @@ class TestBoundCommand:
         assert code == 3 and out == ""
         assert err == "error: pmf 'offset' must be an integer\n"
 
+    @pytest.mark.parametrize("weights", ["5", "null", '"12"'])
+    def test_input_weights_not_an_array_exits_3(self, capsys, tmp_path, weights):
+        path = tmp_path / "pmf.json"
+        path.write_text(f'{{"offset": 0, "weights": {weights}}}')
+        code, out, err = run_cli(capsys, "bound", "--input", str(path), "--a", "1")
+        assert code == 3 and out == ""
+        assert err == "error: pmf 'weights' must be an array of weights\n"
+
     def test_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "bound", "--a", "9")
         assert code == 3 and "exactly one" in err

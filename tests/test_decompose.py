@@ -27,9 +27,9 @@ from tailbounds import (
     unimodal_to_interval_mixture,
     uniform_pmf,
 )
-from tailbounds.decompose import _merge_step
 
 from genpmf import random_three_atom_mixture, random_uniform_mixture
+from reference_transforms import _merge_step, reference_flatten_head, reference_merge_tail_atoms
 
 
 @st.composite
@@ -55,6 +55,15 @@ def unimodal_pmfs(st_draw, max_size=12):
     return make_pmf(offset, left + [peak] + right)
 
 
+@st.composite
+def uniform_mixtures(st_draw, max_index=79):
+    raw = st_draw(
+        st.dictionaries(st.integers(0, max_index), st.integers(1, 9), min_size=1, max_size=8)
+    )
+    total = sum(raw.values())
+    return UniformMixture({i: F(w, total) for i, w in raw.items()})
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -63,12 +72,23 @@ def unimodal_pmfs(st_draw, max_size=12):
         lambda: IntervalMixture.from_dict(
             {"atoms": [{"l": 0, "r": 1, "w": "1"}, {"l": "0", "r": 2, "w": "0"}]}
         ),
+        lambda: IntervalMixture({(0, 1): F(1), 1: F(0)}),
+        lambda: IntervalMixture({(0, 1): F(1), (0, 1, 2): F(0)}),
     ],
-    ids=["str-index-beside-int", "negative-index-zero-weight", "str-left-end-beside-int"],
+    ids=[
+        "str-index-beside-int", "negative-index-zero-weight", "str-left-end-beside-int",
+        "int-interval-key", "triple-interval-key",
+    ],
 )
 def test_atoms_validated_before_sorting_and_dropping_zeros(build):
     with pytest.raises(ValidationError):
         build()
+
+
+@pytest.mark.parametrize("weight", ["1", 1.0])
+def test_mixture_weights_stored_as_fractions(weight):
+    for m in (UniformMixture({0: weight}), IntervalMixture({(0, 1): weight})):
+        assert [(type(w), w) for w in m.atoms.values()] == [(F, 1)]
 
 
 class TestUniformMixture:
@@ -128,7 +148,7 @@ class TestUniformMixture:
         m = to_uniform_mixture(p)
         assert mean(p) == mixture_mean(m) / 2
 
-    @given(decreasing_pmfs(), st.integers(0, 20))
+    @given(decreasing_pmfs(), st.integers(-5, 20))
     def test_mixture_tail_matches_pmf_tail(self, p, a):
         assert mixture_tail(to_uniform_mixture(p), a) == tail(p, a)
 
@@ -243,6 +263,49 @@ class TestMergeTailAtoms:
             assert len(remaining) <= 2
             if len(remaining) == 2:
                 assert remaining[1] == remaining[0] + 1
+
+
+class TestClosedFormsMatchMoves:
+    """The closed-form transforms equal the step-by-step proof moves exactly."""
+
+    @given(decreasing_pmfs(max_size=30), st.data())
+    def test_flatten_head_random(self, p, data):
+        a = data.draw(st.integers(1, p.support_max + 3))
+        assert flatten_head(p, a) == reference_flatten_head(p, a)
+
+    @pytest.mark.parametrize(
+        "weights, a",
+        [
+            ([3, 2, 1], 1),
+            ([5, 1, 1, 1], 3),
+            ([4, 3, 2, 1], 4),
+            ([1], 2),
+            ([9, 6, 6, 2, 1], 5),
+        ],
+        ids=["a-1", "flat-head", "a-one-past-support", "point-mass", "a-at-support-end"],
+    )
+    def test_flatten_head_edges(self, weights, a):
+        p = make_pmf(0, weights)
+        assert flatten_head(p, a) == reference_flatten_head(p, a)
+
+    @given(uniform_mixtures(), st.integers(1, 82))
+    def test_merge_tail_atoms_random(self, m, a):
+        assert merge_tail_atoms(m, a) == reference_merge_tail_atoms(m, a)
+
+    @pytest.mark.parametrize(
+        "atoms, a",
+        [
+            ({0: F(1, 2), 3: F(1, 2)}, 5),
+            ({0: F(1, 2), 5: F(1, 2)}, 5),
+            ({5: F(1, 2), 9: F(1, 2)}, 5),
+            ({1: F(1, 4), 5: F(1, 4), 6: F(1, 4), 30: F(1, 4)}, 1),
+            ({2: F(1, 3), 7: F(1, 3), 79: F(1, 3)}, 4),
+        ],
+        ids=["all-below-a", "one-atom-at-a", "integer-mean", "a-1", "far-atom"],
+    )
+    def test_merge_tail_atoms_edges(self, atoms, a):
+        m = UniformMixture(atoms)
+        assert merge_tail_atoms(m, a) == reference_merge_tail_atoms(m, a)
 
 
 class TestReduceThreeAtoms:

@@ -20,6 +20,7 @@ from tailbounds import (
     markov_decreasing,
     mean,
     merge_tail_atoms,
+    mixture_tail,
     point_pmf,
     reduce_three_atoms,
     shape,
@@ -56,6 +57,7 @@ BOOL_AS_INTEGER = {
     "chebyshev_unimodal": lambda: chebyshev_unimodal(1, True),
     "flatten_head": lambda: flatten_head(uniform_pmf(0, 3), True),
     "merge_tail_atoms": lambda: merge_tail_atoms(UniformMixture({1: F(1)}), True),
+    "mixture_tail": lambda: mixture_tail(UniformMixture({1: F(1)}), True),
     "reduce_three_atoms": lambda: reduce_three_atoms(UniformMixture({1: F(1)}), True),
     "make_pmf-offset": lambda: make_pmf(True, [1]),
     "from_dict-offset": lambda: Pmf.from_dict({"offset": True, "weights": ["1"]}),
@@ -203,6 +205,11 @@ class TestSerialization:
     def test_bad_json_rejected(self):
         with pytest.raises(ValidationError):
             Pmf.from_dict({"offset": "x", "weights": ["1"]})
+
+    @pytest.mark.parametrize("weights", [5, None, "12", {"0": "1"}])
+    def test_weights_must_be_an_array(self, weights):
+        with pytest.raises(ValidationError, match="array"):
+            Pmf.from_dict({"offset": 0, "weights": weights})
 
 
 class TestInvariants:

@@ -63,7 +63,7 @@ class TestExtremalMarkovDiscrete:
     def test_both_lemma_maximizers_achieve_same_tail(self):
         # The alternate construction mixes the point mass with the
         # uniform on {0..2a-2}; it reaches the same tail value.
-        for a, mu in [(2, F(1, 2)), (5, 2), (9, F(17, 4))]:
+        for a, mu in [(2, F(1, 2)), (5, F(2)), (9, F(17, 4))]:
             alt_top = 2 * a - 2
             d = 2 * mu / alt_top
             alt = UniformMixture({0: 1 - d, alt_top: d})
@@ -226,6 +226,10 @@ class TestVerifyTightness:
     def test_invalid_cap_rejected_when_every_cell_infeasible(self, N):
         with pytest.raises(ValidationError, match="support cap N"):
             verify_tightness_theorem2([5], [1], N)
+
+    def test_generator_grid_read_once_for_every_threshold(self):
+        rows = verify_tightness_theorem2([1, 2], (m for m in [F(1, 2)]), 10)
+        assert [(r.a, r.mu) for r in rows] == [(1, F(1, 2)), (2, F(1, 2))]
 
     def test_csv_shape(self):
         rows = verify_tightness_theorem2([2], [F(1, 2)], 10)

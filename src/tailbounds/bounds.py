@@ -9,18 +9,19 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from ._record import Record, replace
 from .dist_core import (
     Pmf,
     RationalLike,
+    ShapeReport,
     _render_rational,
+    _variance_about,
     as_rational,
     check_int,
     mean,
     shape,
-    variance,
 )
 from .errors import ValidationError
 
@@ -151,34 +152,67 @@ def chebyshev_continuous_unimodal(var: float, a: float) -> BoundResult:
     )
 
 
+class _PmfTerms(Record):
+    """What the bounds need from one pmf, whatever the threshold.
+
+    ``mean`` is always set; ``abs_mean`` is set one-sided, ``variance``
+    two-sided.
+    """
+
+    mode: TailMode
+    report: ShapeReport
+    mean: Fraction
+    abs_mean: Optional[Fraction] = None
+    variance: Optional[Fraction] = None
+
+
+def _pmf_terms(p: Pmf, mode: TailMode) -> _PmfTerms:
+    """Per-pmf step of :func:`best_bound`: the shape, E[X] and the moment ``mode`` needs."""
+    report = shape(p)
+    mu = mean(p)
+    if mode is TailMode.ONE_SIDED_UPPER:
+        # E|X| = E[X] - 2 E[X; X < 0], so only the atoms below 0 are read again.
+        below = sum((w * k for k, w in zip(range(p.offset, 0), p.weights)), Fraction(0))
+        return _PmfTerms(mode, report, mu, abs_mean=mu - 2 * below)
+    if mode is TailMode.TWO_SIDED:
+        return _PmfTerms(mode, report, mu, variance=_variance_about(p, mu))
+    raise ValidationError(f"unknown tail mode: {mode!r}")
+
+
+def _bounds_at(terms: _PmfTerms, a: int) -> list[BoundResult]:
+    """Per-threshold step of :func:`best_bound`: every applicable bound at ``a``, ascending."""
+    check_int(a, "threshold a", 1)
+    report = terms.report
+    if terms.mode is TailMode.ONE_SIDED_UPPER:
+        r = markov_classical(terms.abs_mean, a)
+        results = [replace(r, verified=r.verified + ("E|X| computed exactly",))]
+        if report.is_decreasing:
+            r = markov_decreasing(terms.mean, a)
+            results.append(
+                replace(r, verified=r.verified + ("pmf decreasing on {0,1,...} (verified)",))
+            )
+    else:
+        results = [chebyshev_classical(terms.variance, a)]
+        if report.is_unimodal:
+            r = chebyshev_unimodal(terms.variance, a)
+            results.append(
+                replace(r, verified=r.verified + (f"pmf unimodal with mode {report.mode} (verified)",))
+            )
+    results.sort(key=lambda r: r.value)
+    return results
+
+
 def best_bound(p: Pmf, a: int, mode: TailMode = TailMode.ONE_SIDED_UPPER) -> list[BoundResult]:
     """Every applicable bound for the pmf, sorted ascending by value.
 
     Classical bounds always apply; the sharpened discrete ones are
     included only when the relevant shape predicate verifies.  The first
     element is the best provable bound.
+
+    This is :func:`_pmf_terms` (shape and moments, once per pmf) followed
+    by :func:`_bounds_at` (the formulas at ``a``), so a caller with many
+    thresholds can run the first step once.  ``a`` is checked before the
+    pmf is read, so a bad threshold is reported ahead of a bad mode.
     """
     check_int(a, "threshold a", 1)
-    report = shape(p)
-    results: list[BoundResult] = []
-    if mode is TailMode.ONE_SIDED_UPPER:
-        abs_mean = sum((w * abs(k) for k, w in p.items()), Fraction(0))
-        r = markov_classical(abs_mean, a)
-        results.append(replace(r, verified=r.verified + ("E|X| computed exactly",)))
-        if report.is_decreasing:
-            r = markov_decreasing(mean(p), a)
-            results.append(
-                replace(r, verified=r.verified + ("pmf decreasing on {0,1,...} (verified)",))
-            )
-    elif mode is TailMode.TWO_SIDED:
-        var = variance(p)
-        results.append(chebyshev_classical(var, a))
-        if report.is_unimodal:
-            r = chebyshev_unimodal(var, a)
-            results.append(
-                replace(r, verified=r.verified + (f"pmf unimodal with mode {report.mode} (verified)",))
-            )
-    else:
-        raise ValidationError(f"unknown tail mode: {mode!r}")
-    results.sort(key=lambda r: r.value)
-    return results
+    return _bounds_at(_pmf_terms(p, mode), a)

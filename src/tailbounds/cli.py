@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from . import __version__
-from .bounds import TailMode, best_bound
+from .bounds import TailMode, _bounds_at, _pmf_terms
 from .decompose import (
     to_uniform_mixture,
     unimodal_to_interval_mixture,
@@ -25,14 +25,14 @@ from .decompose import (
 from .dist_core import (
     Pmf,
     _render_rational,
+    _threshold_tails,
+    _two_sided_tail_about,
+    _variance_about,
     as_rational,
     make_pmf,
-    mean,
     point_pmf,
     tail,
-    two_sided_tail,
     uniform_pmf,
-    variance,
 )
 from .errors import (
     InfeasibleError,
@@ -53,6 +53,9 @@ EXIT_USAGE = 2
 EXIT_VALIDATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_SOUNDNESS = 5
+
+# Most thresholds one ``--a lo..hi`` range may hold.
+_MAX_RANGE_VALUES = 10_000
 
 
 def parse_pmf_literal(text: str) -> Pmf:
@@ -133,6 +136,10 @@ def _parse_int_range(text: str) -> list[int]:
     hi = int(m.group(2)) if m.group(2) else lo
     if lo > hi:
         raise ValidationError(f"empty range {text!r}")
+    if hi - lo + 1 > _MAX_RANGE_VALUES:
+        raise ValidationError(
+            f"range {text!r} has {hi - lo + 1} values; at most {_MAX_RANGE_VALUES} are allowed"
+        )
     return list(range(lo, hi + 1))
 
 
@@ -147,25 +154,25 @@ def _clamped(value: Union[Fraction, float]) -> str:
     return str(value)
 
 
-def _exact_tail(pmf: Pmf, a: int, mode: TailMode) -> Fraction:
-    if mode is TailMode.ONE_SIDED_UPPER:
-        return tail(pmf, a)
-    return two_sided_tail(pmf, a)
-
-
 def _run_bound(args: argparse.Namespace) -> str:
     pmf = _load_pmf(args)
     mode = TailMode(args.mode)
     exact = not args.as_float
-    results = best_bound(pmf, args.a, mode)
-    exact_tail = _exact_tail(pmf, args.a, mode)
+    terms = _pmf_terms(pmf, mode)
+    mu = terms.mean
+    results = _bounds_at(terms, args.a)
+    if mode is TailMode.ONE_SIDED_UPPER:
+        exact_tail = tail(pmf, args.a)
+    else:
+        exact_tail = _two_sided_tail_about(pmf, mu, args.a)
     if args.format == "json":
+        var = _variance_about(pmf, mu) if terms.variance is None else terms.variance
         payload = {
             "a": args.a,
             "mode": mode.value,
             "exact_tail": _render_rational(exact_tail, exact),
-            "mean": _render_rational(mean(pmf), exact),
-            "variance": _render_rational(variance(pmf), exact),
+            "mean": _render_rational(mu, exact),
+            "variance": _render_rational(var, exact),
             "bounds": [r.to_dict(exact) for r in results],
         }
         return json.dumps(payload, indent=2)
@@ -220,15 +227,18 @@ def _run_verify(args: argparse.Namespace) -> str:
 
 def _run_sweep(args: argparse.Namespace) -> str:
     pmf = _load_pmf(args)
-    a_values = _parse_int_range(args.a)
+    # A threshold below 1 has no bound, so it gets no row.
+    a_values = [a for a in _parse_int_range(args.a) if a >= 1]
     mode = TailMode(args.mode)
     exact = not args.as_float
+    # One pass each for the shape, the moments and every tail; the loop
+    # below only looks values up.
+    terms = _pmf_terms(pmf, mode)
+    mu = terms.mean if mode is TailMode.TWO_SIDED else None
+    tails = _threshold_tails(pmf, a_values, mu)
     records = []
-    for a in a_values:
-        if a < 1:
-            continue
-        exact_tail = _exact_tail(pmf, a, mode)
-        for r in best_bound(pmf, a, mode):
+    for a, exact_tail in zip(a_values, tails):
+        for r in _bounds_at(terms, a):
             ratio = r.value / exact_tail if exact_tail > 0 else None
             records.append((a, exact_tail, r.formula.value, r.value, ratio))
     if args.format == "json":

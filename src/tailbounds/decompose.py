@@ -41,7 +41,7 @@ class UniformMixture(Record):
         try:
             raw = obj["atoms"]
             atoms = {int(i): w for i, w in raw.items()}
-        except (TypeError, KeyError, ValueError) as exc:
+        except (TypeError, KeyError, ValueError, AttributeError) as exc:
             raise ValidationError("uniform mixture JSON must be {'atoms': {i: 'num/den'}}") from exc
         return cls(atoms)
 

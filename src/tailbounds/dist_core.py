@@ -170,7 +170,11 @@ def mean(p: Pmf) -> Fraction:
 
 def variance(p: Pmf) -> Fraction:
     """Exact second central moment."""
-    mu = mean(p)
+    return _variance_about(p, mean(p))
+
+
+def _variance_about(p: Pmf, mu: Fraction) -> Fraction:
+    """Exact E[(X - mu)^2]; the variance when ``mu`` is the mean."""
     return sum((w * (k - mu) ** 2 for k, w in p.items()), Fraction(0))
 
 
@@ -186,8 +190,42 @@ def two_sided_tail(p: Pmf, a: RationalLike) -> Fraction:
     a = as_rational(a)
     if a <= 0:
         raise ValidationError("two-sided threshold must be positive")
-    mu = mean(p)
+    return _two_sided_tail_about(p, mean(p), a)
+
+
+def _two_sided_tail_about(p: Pmf, mu: Fraction, a: RationalLike) -> Fraction:
+    """Exact P(|X - mu| >= a); the two-sided tail when ``mu`` is the mean."""
     return sum((w for k, w in p.items() if abs(k - mu) >= a), Fraction(0))
+
+
+def _threshold_tails(
+    p: Pmf, thresholds: Sequence[int], mu: Optional[Fraction] = None
+) -> list[Fraction]:
+    """Exact tails at the given integer thresholds, one entry per threshold.
+
+    With ``mu`` None the entry for a is P(X >= a), as :func:`tail` gives
+    it; with ``mu`` the mean it is P(|X - mu| >= a), as
+    :func:`two_sided_tail` gives it for a >= 1.  One pass over the pmf
+    fills a table sized by its support: suffix sums of the weights, or,
+    two-sided, the weights bucketed by d = floor(|k - mu|) and summed from
+    the far end.  Bucketing is exact because for an integer a,
+    |k - mu| >= a exactly when floor(|k - mu|) >= a.  A threshold outside
+    the table is clamped to its nearest end, so each one is a single
+    lookup and the cost is O(n + len(thresholds)), whatever their values.
+    """
+    if mu is None:
+        shift, mass = p.offset, p.weights
+    else:
+        num, den = mu.numerator, mu.denominator
+        dist = [abs(k * den - num) // den for k, _ in p.items()]
+        shift, mass = 0, [Fraction(0)] * (max(dist) + 1)
+        for d, w in zip(dist, p.weights):
+            mass[d] += w
+    # suffix[i] is the mass at table positions i and beyond.
+    suffix = [Fraction(0)] * (len(mass) + 1)
+    for i in reversed(range(len(mass))):
+        suffix[i] = suffix[i + 1] + mass[i]
+    return [suffix[min(max(a - shift, 0), len(mass))] for a in thresholds]
 
 
 def shape(p: Pmf) -> ShapeReport:

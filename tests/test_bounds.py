@@ -23,6 +23,8 @@ from tailbounds import (
     variance,
 )
 
+from tailbounds.bounds import _bounds_at, _pmf_terms
+
 from genpmf import random_decreasing_pmf, random_unimodal_pmf
 
 
@@ -140,6 +142,27 @@ class TestBestBound:
     def test_sorted_ascending(self):
         results = best_bound(uniform_pmf(0, 10), 4, TailMode.TWO_SIDED)
         assert results[0].value <= results[1].value
+
+
+    def test_threshold_checked_before_mode(self):
+        with pytest.raises(ValidationError, match="threshold a must be an integer >= 1"):
+            best_bound(uniform_pmf(0, 3), 0, "sideways")
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValidationError, match="unknown tail mode"):
+            best_bound(uniform_pmf(0, 3), 1, "sideways")
+
+    def test_terms_hold_exact_moments(self):
+        rng = random.Random(103)
+        for _ in range(200):
+            p = make_pmf(rng.randint(-5, 5), [rng.randint(0, 9) for _ in range(8)] + [1])
+            one = _pmf_terms(p, TailMode.ONE_SIDED_UPPER)
+            two = _pmf_terms(p, TailMode.TWO_SIDED)
+            assert one.mean == two.mean == mean(p)
+            assert one.abs_mean == sum((w * abs(k) for k, w in p.items()), F(0))
+            assert two.variance == variance(p)
+            for a in range(1, 6):
+                assert _bounds_at(one, a) == best_bound(p, a, TailMode.ONE_SIDED_UPPER)
 
 
 class TestSoundness:

@@ -12,7 +12,10 @@ from tailbounds import (
     point_pmf,
     uniform_pmf,
 )
-from tailbounds.cli import main, parse_pmf_literal
+import tailbounds.bounds
+import tailbounds.cli
+import tailbounds.dist_core
+from tailbounds.cli import _parse_int_range, main, parse_pmf_literal
 
 
 def run_cli(capsys, *argv):
@@ -242,6 +245,44 @@ class TestSweepCommand:
         code, out, _ = run_cli(capsys, "sweep", "--pmf", "point:0", "--a", "1..2")
         payload = json.loads(out)
         assert all(row["ratio"] is None for row in payload)
+
+    @pytest.mark.parametrize("mode", ["one-sided", "two-sided"])
+    def test_shape_and_mean_computed_once_per_pmf(self, capsys, monkeypatch, mode):
+        calls = {"shape": 0, "mean": 0}
+        for name in calls:
+            original = getattr(tailbounds.dist_core, name)
+
+            def counted(p, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(p)
+
+            for module in (tailbounds.dist_core, tailbounds.bounds, tailbounds.cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        code, _, _ = run_cli(
+            capsys, "sweep", "--pmf", "weights:0;4,3,3,2,1", "--a", "1..8", "--mode", mode,
+        )
+        assert code == 0
+        assert calls == {"shape": 1, "mean": 1}
+
+
+class TestRangeCap:
+    def test_ten_thousand_values_allowed(self):
+        assert _parse_int_range("1..10000") == list(range(1, 10001))
+        assert len(_parse_int_range("-5000..4999")) == 10000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--pmf", "point:0", "--a", "1..10001"],
+            ["verify", "--a", "1..10001", "--mu", "1/2", "--N", "5"],
+        ],
+        ids=["sweep", "verify"],
+    )
+    def test_ten_thousand_and_one_values_exit_3(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (
+            3, "", "error: range '1..10001' has 10001 values; at most 10000 are allowed\n",
+        )
 
 
 # stdout, stderr and exit code of one invocation per subcommand, format,

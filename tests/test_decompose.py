@@ -99,6 +99,11 @@ class TestUniformMixture:
     def test_point_mass_at_zero(self):
         assert dict(to_uniform_mixture(point_pmf(0)).atoms) == {0: F(1)}
 
+    @pytest.mark.parametrize("atoms", [[1], "0"], ids=["array", "string"])
+    def test_from_dict_atoms_must_be_an_object(self, atoms):
+        with pytest.raises(ValidationError, match="uniform mixture JSON must be"):
+            UniformMixture.from_dict({"atoms": atoms})
+
     def test_staircase_example(self):
         m = to_uniform_mixture(make_pmf(0, [F(1, 2), F(1, 4), F(1, 4)]))
         assert dict(m.atoms) == {0: F(1, 4), 2: F(3, 4)}

@@ -30,6 +30,7 @@ from tailbounds import (
     variance,
     verify_tightness_theorem2,
 )
+from tailbounds.dist_core import _threshold_tails
 
 
 @st.composite
@@ -39,6 +40,23 @@ def pmfs(st_draw, max_size=12, offset_range=(-5, 5)):
         st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(lambda w: any(w))
     )
     return make_pmf(st_draw(st.integers(*offset_range)), ws)
+
+
+@st.composite
+def tail_table_cases(st_draw):
+    """A pmf at offset -5..5, a third of them palindromes of odd length
+    (integer mean) and a third of even length (half-integer mean), and a
+    top threshold past both the support and the largest distance from
+    the mean."""
+    ws = st_draw(st.lists(st.integers(0, 9), min_size=1, max_size=10).filter(any))
+    mirror = st_draw(st.sampled_from([None, "odd", "even"]))
+    if mirror == "odd":
+        ws = ws + ws[-2::-1]
+    elif mirror == "even":
+        ws = ws + ws[::-1]
+    p = make_pmf(st_draw(st.integers(-5, 5)), ws)
+    top = len(p.weights) + abs(p.offset) + st_draw(st.integers(0, 3))
+    return p, top
 
 
 class TestAsRational:
@@ -167,6 +185,33 @@ class TestTails:
     def test_two_sided_symmetric_pair(self):
         p = make_pmf(-1, [1, 0, 1])
         assert two_sided_tail(p, 1) == 1
+
+    @given(tail_table_cases())
+    def test_threshold_table_matches_each_tail(self, case):
+        p, top = case
+        mu = mean(p)
+        thresholds = range(1, top + 1)
+        one_sided = _threshold_tails(p, thresholds)
+        two_sided = _threshold_tails(p, thresholds, mu)
+        assert len(one_sided) == len(two_sided) == top
+        assert one_sided == [tail(p, a) for a in thresholds]
+        assert two_sided == [two_sided_tail(p, a) for a in thresholds]
+
+    @pytest.mark.parametrize("mu", [None, F(1, 2)])
+    def test_threshold_table_below_one_is_whole_or_empty(self, mu):
+        p = make_pmf(0, [1, 1])
+        assert _threshold_tails(p, [0, -3], mu) == [1, 1]
+        assert _threshold_tails(p, [], mu) == []
+
+    def test_threshold_table_far_past_support(self):
+        # One entry per threshold asked for, however large the threshold.
+        p = make_pmf(-3, [1, 2, 3, 2, 1])
+        far = [10**6, 10**6 + 1]
+        assert _threshold_tails(p, far) == [tail(p, a) for a in far] == [0, 0]
+        assert _threshold_tails(p, far, mean(p)) == [0, 0]
+        assert _threshold_tails(p, [2, 10**6, 1], mean(p)) == [
+            two_sided_tail(p, 2), 0, two_sided_tail(p, 1),
+        ]
 
     def test_two_sided_requires_positive_threshold(self):
         with pytest.raises(ValidationError):

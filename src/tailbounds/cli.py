@@ -26,12 +26,10 @@ from .dist_core import (
     Pmf,
     _render_rational,
     _threshold_tails,
-    _two_sided_tail_about,
     _variance_about,
     as_rational,
     make_pmf,
     point_pmf,
-    tail,
     uniform_pmf,
 )
 from .errors import (
@@ -56,6 +54,10 @@ EXIT_SOUNDNESS = 5
 
 # Most thresholds one ``--a lo..hi`` range may hold.
 _MAX_RANGE_VALUES = 10_000
+# Most points a ``uniform:l..r`` literal may span, and the largest
+# ``verify --N``: both are allocated in full, one weight or one oracle
+# column per point.
+_MAX_POINTS = 100_000
 
 
 def parse_pmf_literal(text: str) -> Pmf:
@@ -78,6 +80,10 @@ def parse_pmf_literal(text: str) -> Pmf:
         lo, hi = int(m.group(1)), int(m.group(2))
         if lo > hi:
             raise ValidationError(f"pmf literal {text!r}: empty range {lo}..{hi}")
+        if hi - lo + 1 > _MAX_POINTS:
+            raise ValidationError(
+                f"pmf literal {text!r}: {hi - lo + 1} points; at most {_MAX_POINTS} are allowed"
+            )
         return uniform_pmf(lo, hi)
     if kind == "point":
         m = re.fullmatch(r"-?\d+", body)
@@ -161,10 +167,7 @@ def _run_bound(args: argparse.Namespace) -> str:
     terms = _pmf_terms(pmf, mode)
     mu = terms.mean
     results = _bounds_at(terms, args.a)
-    if mode is TailMode.ONE_SIDED_UPPER:
-        exact_tail = tail(pmf, args.a)
-    else:
-        exact_tail = _two_sided_tail_about(pmf, mu, args.a)
+    [exact_tail] = _threshold_tails(pmf, [args.a], mu if mode is TailMode.TWO_SIDED else None)
     if args.format == "json":
         var = _variance_about(pmf, mu) if terms.variance is None else terms.variance
         payload = {
@@ -219,6 +222,8 @@ def _run_extremal(args: argparse.Namespace) -> str:
 def _run_verify(args: argparse.Namespace) -> str:
     a_values = _parse_int_range(args.a)
     mu_values = _parse_rational_list(args.mu)
+    if args.N > _MAX_POINTS:
+        raise ValidationError(f"--N {args.N} is too large; at most {_MAX_POINTS} is allowed")
     rows = verify_tightness_theorem2(a_values, mu_values, args.N)
     if args.format == "csv":
         return tightness_rows_to_csv(rows).rstrip("\n")
@@ -276,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_format(p: argparse.ArgumentParser, choices=("json", "csv", "plain")) -> None:
         p.add_argument("--format", choices=choices, default="json")
+
+    def add_float(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--float", action="store_true", dest="as_float",
             help="render rationals as decimals instead of num/den",
@@ -287,6 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, type=int)
     p.add_argument("--mode", choices=["one-sided", "two-sided"], default="one-sided")
     add_format(p)
+    add_float(p)
 
     p = sub.add_parser("decompose", help="mixture decomposition of a shaped pmf")
     p.set_defaults(run=_run_decompose)
@@ -301,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True)
     p.add_argument("--epsilon", type=float)
     add_format(p, choices=("json",))
+    add_float(p)
 
     p = sub.add_parser("verify", help="tightness sweep of the sharpened Markov bound")
     p.set_defaults(run=_run_verify)
@@ -315,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, help="integer or range lo..hi")
     p.add_argument("--mode", choices=["one-sided", "two-sided"], default="one-sided")
     add_format(p, choices=("json", "csv"))
+    add_float(p)
 
     return parser
 

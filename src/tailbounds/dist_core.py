@@ -190,11 +190,7 @@ def two_sided_tail(p: Pmf, a: RationalLike) -> Fraction:
     a = as_rational(a)
     if a <= 0:
         raise ValidationError("two-sided threshold must be positive")
-    return _two_sided_tail_about(p, mean(p), a)
-
-
-def _two_sided_tail_about(p: Pmf, mu: Fraction, a: RationalLike) -> Fraction:
-    """Exact P(|X - mu| >= a); the two-sided tail when ``mu`` is the mean."""
+    mu = mean(p)
     return sum((w for k, w in p.items() if abs(k - mu) >= a), Fraction(0))
 
 

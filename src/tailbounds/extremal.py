@@ -3,15 +3,15 @@
 Two closed-form constructions (the discrete two-atom mixture and the
 continuous epsilon-mixture) sit next to two independent oracles that
 maximize tail probability over moment classes by solving the equivalent
-linear programs in exact integer arithmetic: an upper concave hull for
-decreasing pmfs, and a small two-phase simplex per common point for
-unimodal ones.  Both state their LP as max obj.u, A u = b, u >= 0 with
-integer columns, and both emit a (solution, dual, det) triple that the
-one checker, :func:`_check_certificate`, verifies before the oracle
-returns, so a wrong hull edge or pivot surfaces as
-SoundnessViolationError rather than as a wrong value.  The oracles
-deliberately share no code with the bound formulas: agreement between
-the two routes is the verification.
+linear programs in exact integer arithmetic: the closed-form edge of an
+upper concave envelope for decreasing pmfs, and a small two-phase
+simplex per common point for unimodal ones.  Both state their LP as
+max obj.u, A u = b, u >= 0 with integer columns, and both emit a
+(solution, dual, det) triple that the one checker,
+:func:`_check_certificate`, verifies before the oracle returns, so a
+wrong envelope edge or pivot surfaces as SoundnessViolationError rather
+than as a wrong value.  The oracles deliberately share no code with the
+bound formulas: agreement between the two routes is the verification.
 """
 from __future__ import annotations
 
@@ -57,8 +57,8 @@ class OracleResult(Record):
     """Outcome of an exact tail-maximization: value, witness, work done.
 
     ``enumerated`` counts the oracle's work and is deterministic: the
-    points scanned by the hull (N + 1) for the decreasing oracle, and the
-    simplex pivots summed over every common point for the two-sided one.
+    columns the certificate checks (N + 1) for the decreasing oracle, and
+    the simplex pivots summed over every common point for the two-sided one.
     """
 
     max_tail: Fraction
@@ -181,28 +181,6 @@ def _check_certificate(
     return yb
 
 
-def _upper_hull(us: Sequence[int]) -> list[int]:
-    """Vertices of the upper concave envelope of the points (i, us[i] / (i + 1)).
-
-    One monotone-chain pass; slopes are compared in integers by
-    multiplying through by the (i + 1) denominators.  Collinear points
-    are dropped, so consecutive edges have strictly decreasing slopes.
-    """
-    hull: list[int] = []
-    for x3, u3 in enumerate(us):
-        while len(hull) >= 2:
-            x1, x2 = hull[-2], hull[-1]
-            u1, u2 = us[x1], us[x2]
-            # Keep x2 only if slope(x1, x2) > slope(x2, x3).
-            if (u2 * (x1 + 1) - u1 * (x2 + 1)) * (x3 + 1) * (x3 - x2) > (
-                u3 * (x2 + 1) - u2 * (x3 + 1)
-            ) * (x1 + 1) * (x2 - x1):
-                break
-            hull.pop()
-        hull.append(x3)
-    return hull
-
-
 def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
     """Maximize P(X >= a) over decreasing pmfs on {0..N} with mean mu.
 
@@ -212,9 +190,20 @@ def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
     u >= 0, where us_i = (i - a + 1)^+ and A_i = (i + 1, q i (i + 1), 0):
     the integer column form of the two-sided oracle.  Its optimum is the
     upper concave envelope of the points (i, us_i / (i + 1)) at x = 2 mu.
-    The envelope is built in exact integers; the basis is the hull edge
-    that brackets 2 mu, the dual is the line through that edge, and both
-    pass :func:`_check_certificate` before the result is returned.
+
+    That envelope has a closed form.  The points are 0 up to i = a - 1
+    and 1 - a / (i + 1) from there on, which is strictly concave.  The
+    chord from (0, 0) to point i has slope (i - a + 1) / (i (i + 1)),
+    largest at i = 2a - 2 and i = 2a - 1, where both equal
+    1 / (2 (2a - 1)): these are the paper's two tied maximizers, and
+    2a - 2, collinear with 0 and 2a - 1, is no vertex.  So the vertices
+    are 0, then 2a - 1, then every i up to N, and the edge bracketing
+    2 mu is [xl, xr] with xr = max(2a - 1, ceil(2 mu)), xl = 0 when
+    xr = 2a - 1 and xl = xr - 1 otherwise; N >= 2a keeps xr <= N.  The
+    basis is that edge, the dual is the line through it, and both pass
+    :func:`_check_certificate` over all N + 1 columns before the result
+    is returned, so a wrong edge raises SoundnessViolationError, never a
+    wrong value.
     """
     check_int(a, "threshold a", 1)
     mu = as_rational(mu)
@@ -225,10 +214,8 @@ def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
         )
     p, q = (2 * mu).numerator, (2 * mu).denominator
     us = [0] * (a - 1) + list(range(N - a + 2))  # us[i] = (i - a + 1)^+
-    hull = _upper_hull(us)
-    # hull[0] == 0 < 2mu <= N == hull[-1], so some edge brackets 2mu.
-    k = next(k for k, x in enumerate(hull) if q * x >= p)
-    xl, xr = hull[k - 1], hull[k]
+    xr = max(2 * a - 1, math.ceil(2 * mu))
+    xl = 0 if xr == 2 * a - 1 else xr - 1
     det = q * (xl + 1) * (xr + 1) * (xr - xl)
     solution = {xl: (xr + 1) * (q * xr - p), xr: (xl + 1) * (p - q * xl)}
     # The line y0 + y1 x through the edge, scaled by det / q.

@@ -6,6 +6,11 @@ with a common point for the two-sided unimodal problem.  They are slow
 (O(N * 2mu) and O(N^6)) but share no solver code with
 ``tailbounds.extremal``, so exact agreement between the two is evidence
 that both are right.
+
+``hull_max_tail_decreasing`` is the step-by-step form of the decreasing
+oracle's closed-form edge: it builds the upper concave envelope with a
+monotone-chain scan (``_upper_hull``) and takes the edge that brackets
+2mu, as the library oracle did before it picked that edge directly.
 """
 from __future__ import annotations
 
@@ -55,6 +60,57 @@ def reference_max_tail_decreasing(a: int, mu, N: int) -> OracleResult:
         raise InfeasibleError(f"no atom pair brackets E[D] = {two_mu} in {{0..{N}}}")
     return OracleResult(
         max_tail=best[0], argmax=UniformMixture(best[1]), enumerated=examined
+    )
+
+
+def _upper_hull(us: Sequence[int]) -> list[int]:
+    """Vertices of the upper concave envelope of the points (i, us[i] / (i + 1)).
+
+    One monotone-chain pass; slopes are compared in integers by
+    multiplying through by the (i + 1) denominators.  Collinear points
+    are dropped, so consecutive edges have strictly decreasing slopes.
+    """
+    hull: list[int] = []
+    for x3, u3 in enumerate(us):
+        while len(hull) >= 2:
+            x1, x2 = hull[-2], hull[-1]
+            u1, u2 = us[x1], us[x2]
+            # Keep x2 only if slope(x1, x2) > slope(x2, x3).
+            if (u2 * (x1 + 1) - u1 * (x2 + 1)) * (x3 + 1) * (x3 - x2) > (
+                u3 * (x2 + 1) - u2 * (x3 + 1)
+            ) * (x1 + 1) * (x2 - x1):
+                break
+            hull.pop()
+        hull.append(x3)
+    return hull
+
+
+def hull_max_tail_decreasing(a: int, mu, N: int) -> OracleResult:
+    """The decreasing oracle with its edge taken from a scan of the envelope.
+
+    Same LP and same result fields as ``lp_max_tail_decreasing``: the
+    hull edge [xl, xr] with xl < 2mu <= xr carries the optimum, and
+    ``enumerated`` is the N + 1 points the scan visits.
+    """
+    check_int(a, "threshold a", 1)
+    mu = as_rational(mu)
+    check_int(N, "support cap N", 2 * a)
+    if mu <= 0 or 2 * mu > N:
+        raise InfeasibleError(
+            f"decreasing pmfs on {{0..{N}}} have mean in (0, {Fraction(N, 2)}]; got mu = {mu}"
+        )
+    p, q = (2 * mu).numerator, (2 * mu).denominator
+    us = [0] * (a - 1) + list(range(N - a + 2))  # us[i] = (i - a + 1)^+
+    hull = _upper_hull(us)
+    # hull[0] == 0 < 2mu <= N == hull[-1], so some edge brackets 2mu.
+    k = next(k for k, x in enumerate(hull) if q * x >= p)
+    xl, xr = hull[k - 1], hull[k]
+    det = q * (xl + 1) * (xr + 1) * (xr - xl)
+    solution = {xl: (xr + 1) * (q * xr - p), xr: (xl + 1) * (p - q * xl)}
+    num = sum(us[i] * x for i, x in solution.items())
+    atoms = {i: Fraction((i + 1) * x, det) for i, x in solution.items()}
+    return OracleResult(
+        max_tail=Fraction(num, det), argmax=UniformMixture(atoms), enumerated=N + 1
     )
 
 

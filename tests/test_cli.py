@@ -285,9 +285,74 @@ class TestRangeCap:
         )
 
 
+class TestPointCap:
+    """A ``uniform:l..r`` literal and ``verify --N`` are capped at ``_MAX_POINTS``."""
+
+    @pytest.fixture
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(tailbounds.cli, "_MAX_POINTS", 20)
+
+    @pytest.mark.parametrize("hi", [18, 19])
+    def test_uniform_up_to_the_cap_allowed(self, capsys, small_cap, hi):
+        code, out, _ = run_cli(capsys, "bound", "--pmf", f"uniform:0..{hi}", "--a", "1")
+        assert code == 0
+        assert json.loads(out)["mean"] == str(F(hi, 2))
+
+    @pytest.mark.parametrize("N", [19, 20])
+    def test_verify_cap_up_to_the_cap_allowed(self, capsys, small_cap, N):
+        code, out, _ = run_cli(capsys, "verify", "--a", "1", "--mu", "1/2", "--N", str(N))
+        assert code == 0 and json.loads(out)[0]["equal"] is True
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built before the cap was checked")
+
+        monkeypatch.setattr(tailbounds.cli, "uniform_pmf", refuse)
+        monkeypatch.setattr(tailbounds.cli, "verify_tightness_theorem2", refuse)
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["bound", "--pmf", "uniform:0..20", "--a", "1"],
+             "pmf literal 'uniform:0..20': 21 points; at most 20 are allowed"),
+            (["verify", "--a", "1", "--mu", "1/2", "--N", "21"],
+             "--N 21 is too large; at most 20 is allowed"),
+        ],
+        ids=["uniform", "verify"],
+    )
+    def test_above_the_cap_exits_3_before_building(
+        self, capsys, small_cap, nothing_built, argv, message
+    ):
+        assert run_cli(capsys, *argv) == (3, "", f"error: {message}\n")
+
+    def test_documented_cap(self, capsys, nothing_built):
+        assert tailbounds.cli._MAX_POINTS == 100_000
+        code, _, err = run_cli(capsys, "sweep", "--pmf", "uniform:-50000..50000", "--a", "1")
+        assert code == 3 and "100001 points; at most 100000 are allowed" in err
+
+
+class TestFloatOption:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--pmf", "weights:0;1/2,1/4,1/4", "--float"],
+            ["verify", "--a", "2", "--mu", "1/2", "--N", "10", "--float"],
+        ],
+        ids=["decompose", "verify"],
+    )
+    def test_commands_with_only_exact_output_reject_float(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --float" in capsys.readouterr().err
+
+
 # stdout, stderr and exit code of one invocation per subcommand, format,
-# tail mode and --float setting, plus an exit-3 and an exit-4 error.  The
-# strings were captured before the subcommand dispatch was last rewritten;
+# tail mode and --float setting, plus an exit-3 and an exit-4 error, and
+# verify grids whose 2mu sits at the envelope vertex 2a - 1, at an
+# integer above it, at the cap N, at a = 1 and at sevenths.  The strings
+# were captured before the code that produces them was last rewritten;
 # a change to them is a change to the CLI's output, not a refactor.
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 

@@ -321,6 +321,20 @@ class TestReduceThreeAtoms:
         assert mixture_mean(out) == mixture_mean(m)
         assert mixture_tail(out, 9) >= mixture_tail(m, 9)
 
+    def test_turning_point_runs_forward(self):
+        # At i = 2a - 2 the move leaves the tail unchanged in either
+        # direction; the documented forward move eliminates d_{i+1}.
+        m = UniformMixture({0: F(1, 2), 4: F(1, 4), 5: F(1, 4)})
+        out = reduce_three_atoms(m, 3)
+        assert dict(out.atoms) == {0: F(7, 16), 4: F(9, 16)}
+        assert mixture_tail(out, 3) == mixture_tail(m, 3)
+
+    def test_below_turning_point_runs_backward(self):
+        m = UniformMixture({0: F(1, 2), 3: F(1, 4), 4: F(1, 4)})
+        out = reduce_three_atoms(m, 3)
+        assert dict(out.atoms) == {0: F(9, 16), 4: F(7, 16)}
+        assert mixture_tail(out, 3) > mixture_tail(m, 3)
+
     def test_two_atoms_with_zero_unchanged(self):
         m = UniformMixture({0: F(1, 2), 17: F(1, 2)})
         assert reduce_three_atoms(m, 9) == m

@@ -27,9 +27,13 @@ from tailbounds import (
     variance,
     verify_tightness_theorem2,
 )
-from tailbounds.extremal import _check_certificate, _simplex
+from tailbounds.extremal import _check_certificate, _run_phase, _simplex
 
-from reference_oracles import reference_max_tail_decreasing, reference_max_two_sided_unimodal
+from reference_oracles import (
+    hull_max_tail_decreasing,
+    reference_max_tail_decreasing,
+    reference_max_two_sided_unimodal,
+)
 
 
 class TestExtremalMarkovDiscrete:
@@ -151,6 +155,27 @@ class TestLpMaxTailDecreasing:
             lp_max_tail_decreasing(1, 30, 50)
         with pytest.raises(InfeasibleError):
             lp_max_tail_decreasing(1, 0, 50)
+
+    def test_closed_form_edge_matches_hull_scan(self):
+        # Every 2mu = k/q up to and including N; at N = 200 only those near
+        # the vertex 2a - 1, near N, and every 11th k in between.
+        start = time.perf_counter()
+        cells = 0
+        for a in range(1, 9):
+            for N in (2 * a, 2 * a + 1, 50, 200):
+                for q in (1, 2, 3, 7):
+                    for k in range(1, N * q + 1):
+                        two_mu = F(k, q)
+                        if N == 200 and not (two_mu <= 4 * a or two_mu >= N - 2 or k % 11 == 0):
+                            continue
+                        got = lp_max_tail_decreasing(a, two_mu / 2, N)
+                        want = hull_max_tail_decreasing(a, two_mu / 2, N)
+                        assert (got.max_tail, got.argmax, got.enumerated) == (
+                            want.max_tail, want.argmax, want.enumerated,
+                        ), (a, two_mu, N)
+                        cells += 1
+        assert cells > 10_000
+        assert time.perf_counter() - start < 10.0
 
     def test_oracle_never_exceeds_bound_and_widening_does_not_help(self):
         for a, mu in [(2, F(1, 2)), (3, F(5, 4)), (5, F(2)), (7, F(13, 2))]:
@@ -305,6 +330,27 @@ class TestReferenceCrossCheck:
                 assert two_sided_tail(q, a) == got
         assert feasible >= len(cases) // 3
         assert time.perf_counter() - start < 10.0
+
+
+class TestPivotRule:
+    @pytest.mark.parametrize(
+        "A, cost, artificial_cost, start, end",
+        [
+            # Phase 1 from the artificial basis: the column ties on all
+            # three rows, and ~2, the lowest index, leaves.
+            ([(1, 1, 1)], [0], -1, [~0, ~1, ~2], [~0, ~1, 0]),
+            # Column 3 ties on rows 0 and 1; basis index 0 < 1 leaves.
+            ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)], [0, 0, 0, 1], 0, [0, 1, 2],
+             [3, 1, 2]),
+        ],
+        ids=["artificials", "columns"],
+    )
+    def test_ratio_test_tie_leaves_lowest_basis_index(self, A, cost, artificial_cost, start, end):
+        # Bland's leaving rule; the optimum is the same either way, but the
+        # pivot path, and so ``enumerated`` and sometimes the argmax, are not.
+        basis = list(start)
+        assert _run_phase(A, cost, artificial_cost, (1, 1, 1), basis)[3] == 1
+        assert basis == end
 
 
 class TestCertificates:

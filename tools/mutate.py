@@ -1,0 +1,141 @@
+"""Mutation score for the certified paths: apply named mutants, report survivors.
+
+Usage: ``python3 tools/mutate.py``
+
+Each mutant replaces one exact snippet of a module under
+``src/tailbounds`` (the snippet must occur exactly once, and the result
+must still parse) in a temporary copy of ``src/`` and ``tests/``, then
+runs the test files that cover it with ``pytest -x``. Every snippet is
+checked against the source before the first run, so a stale one stops
+the script at once. A mutant is killed when those tests fail or time
+out, and survives when they pass. Survivors are printed at the end and
+make the exit status 1. Standard library only; not part of the test
+suite, since it runs the covering tests once per mutant.
+"""
+from __future__ import annotations
+
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+EXTREMAL = ("test_extremal.py", "test_cli.py")
+DIST_CORE = ("test_dist_core.py", "test_bounds.py", "test_cli.py")
+DECOMPOSE = ("test_decompose.py",)
+
+EDGE = """    xr = max(2 * a - 1, math.ceil(2 * mu))
+    xl = 0 if xr == 2 * a - 1 else xr - 1
+"""
+
+MUTANTS = [
+    # The decreasing oracle's closed-form edge.
+    Mutant("edge vertex 2a-2 for 2a-1", "extremal.py", EDGE,
+           EDGE.replace("2 * a - 1", "2 * a - 2"), EXTREMAL),
+    Mutant("edge floor for ceil", "extremal.py", "math.ceil(2 * mu)",
+           "math.floor(2 * mu)", EXTREMAL),
+    Mutant("edge xr + 1", "extremal.py", "xr = max(2 * a - 1, math.ceil(2 * mu))",
+           "xr = max(2 * a - 1, math.ceil(2 * mu)) + 1", EXTREMAL),
+    Mutant("edge xr - 1", "extremal.py", "xr = max(2 * a - 1, math.ceil(2 * mu))",
+           "xr = max(2 * a - 1, math.ceil(2 * mu)) - 1", EXTREMAL),
+    Mutant("edge xl = xr - 1 always", "extremal.py",
+           "xl = 0 if xr == 2 * a - 1 else xr - 1", "xl = xr - 1", EXTREMAL),
+    # The two-sided oracle's simplex and the shared certificate check.
+    Mutant("Bland leaving tie-break reversed", "extremal.py",
+           "basis[i] < basis[leave]", "basis[i] > basis[leave]", EXTREMAL),
+    Mutant("ratio test reversed", "extremal.py",
+           "or x[i] * d[leave] < x[leave] * d[i]",
+           "or x[i] * d[leave] > x[leave] * d[i]", EXTREMAL),
+    Mutant("pricing starts at column 1", "extremal.py",
+           "in enumerate(zip(A, cost)):", "in enumerate(zip(A[1:], cost[1:]), 1):", EXTREMAL),
+    Mutant("certificate skips the value check", "extremal.py",
+           "if sum(obj[j] * x for j, x in solution.items()) != yb:", "if False:", EXTREMAL),
+    # dist_core's shared tail table and shape test.
+    Mutant("threshold tails off by one", "dist_core.py",
+           "suffix[min(max(a - shift, 0), len(mass))]",
+           "suffix[min(max(a - shift + 1, 0), len(mass))]", DIST_CORE),
+    Mutant("threshold tails bucket by ceil", "dist_core.py",
+           "abs(k * den - num) // den", "-(-abs(k * den - num) // den)", DIST_CORE),
+    Mutant("two-sided tail strict", "dist_core.py",
+           "if abs(k - mu) >= a)", "if abs(k - mu) > a)", DIST_CORE),
+    Mutant("shape decreasing run strict", "dist_core.py",
+           "w[dec_start - 1] >= w[dec_start]", "w[dec_start - 1] > w[dec_start]", DIST_CORE),
+    # The decompositions and the closed-form proof transforms.
+    Mutant("uniform weights i for i + 1", "decompose.py",
+           "d = (i + 1) * (w[i] - nxt)", "d = i * (w[i] - nxt)", DECOMPOSE),
+    Mutant("flatten_head level denominator", "decompose.py",
+           "a * (a + 1))", "a * (a + 2))", DECOMPOSE),
+    Mutant("merge_tail_atoms k + 1", "decompose.py", "k = S // M", "k = S // M + 1", DECOMPOSE),
+    Mutant("reduce_three_atoms turns at 2a-1", "decompose.py",
+           "if i >= 2 * a - 2:", "if i >= 2 * a - 1:", DECOMPOSE),
+]
+
+
+def _mutated(source: str, mutant: Mutant) -> str:
+    count = source.count(mutant.old)
+    if count != 1:
+        raise SystemExit(f"{mutant.name}: snippet found {count} times in {mutant.module}")
+    out = source.replace(mutant.old, mutant.new)
+    ast.parse(out)
+    return out
+
+
+def run(mutants: list[Mutant]) -> list[Mutant]:
+    src = ROOT / "src" / "tailbounds"
+    texts = [_mutated((src / m.module).read_text(), m) for m in mutants]
+    survivors = []
+    with tempfile.TemporaryDirectory(prefix="tailbounds-mutate-") as tmp:
+        work = Path(tmp)
+        shutil.copytree(ROOT / "src", work / "src", ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copytree(ROOT / "tests", work / "tests",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
+        env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        for mutant, text in zip(mutants, texts):
+            path = work / "src" / "tailbounds" / mutant.module
+            original = path.read_text()
+            path.write_text(text)
+            start = time.perf_counter()
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                     *(f"tests/{name}" for name in mutant.tests)],
+                    cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+                )
+                status = "survived" if proc.returncode == 0 else "killed"
+            except subprocess.TimeoutExpired:
+                status = "killed (timeout)"
+            finally:
+                path.write_text(original)
+            print(f"{status:<17} {time.perf_counter() - start:6.1f}s  {mutant.name}", flush=True)
+            if status == "survived":
+                survivors.append(mutant)
+    return survivors
+
+
+def main() -> int:
+    survivors = run(MUTANTS)
+    print(f"score: {len(MUTANTS) - len(survivors)}/{len(MUTANTS)} killed")
+    for mutant in survivors:
+        print(f"survivor: {mutant.name} ({mutant.module})")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

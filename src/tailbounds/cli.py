@@ -58,6 +58,9 @@ _MAX_RANGE_VALUES = 10_000
 # ``verify --N``: both are allocated in full, one weight or one oracle
 # column per point.
 _MAX_POINTS = 100_000
+# Most oracle columns one ``verify`` run may check: each (a, mu) cell of
+# the grid runs one oracle over N + 1 columns.
+_MAX_VERIFY_COLUMNS = 10_000_000
 
 
 def parse_pmf_literal(text: str) -> Pmf:
@@ -224,6 +227,12 @@ def _run_verify(args: argparse.Namespace) -> str:
     mu_values = _parse_rational_list(args.mu)
     if args.N > _MAX_POINTS:
         raise ValidationError(f"--N {args.N} is too large; at most {_MAX_POINTS} is allowed")
+    cells = len(a_values) * len(mu_values)
+    if cells * (args.N + 1) > _MAX_VERIFY_COLUMNS:
+        raise ValidationError(
+            f"verify would check {cells * (args.N + 1)} oracle columns"
+            f" ({cells} (a, mu) cells x {args.N + 1}); at most {_MAX_VERIFY_COLUMNS} are allowed"
+        )
     rows = verify_tightness_theorem2(a_values, mu_values, args.N)
     if args.format == "csv":
         return tightness_rows_to_csv(rows).rstrip("\n")
@@ -342,6 +351,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SoundnessViolationError as exc:
         print(f"soundness violation: {exc}", file=sys.stderr)
         return EXIT_SOUNDNESS
+    except ValueError as exc:
+        # Raised by int(text) or str(n) past Python's int<->str limit: an
+        # integer token of a pmf literal, a range or --input JSON, or an
+        # exact result while it is rendered.
+        if "integer string conversion" not in str(exc):
+            raise
+        print(
+            f"error: a number has more than {sys.get_int_max_str_digits()} digits,"
+            " past Python's int<->str conversion limit",
+            file=sys.stderr,
+        )
+        return EXIT_VALIDATION
     print(output)
     return EXIT_OK
 

@@ -7,6 +7,8 @@ rather than tolerance comparisons.
 """
 from __future__ import annotations
 
+import math
+import re
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
@@ -14,6 +16,10 @@ from ._record import Record
 from .errors import ValidationError
 
 RationalLike = Union[int, float, str, Fraction]
+
+# Largest decimal exponent, in size, that ``as_rational`` reads from a
+# string: ``Fraction("1e<e>")`` builds 10**e in full before checking it.
+_MAX_EXPONENT = 10_000
 
 
 def check_int(value: object, name: str, minimum: Optional[int] = None) -> None:
@@ -34,14 +40,21 @@ def check_int(value: object, name: str, minimum: Optional[int] = None) -> None:
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce ints, Fractions, floats and strings like ``2/3`` or ``0.5``.
 
-    ``bool`` is rejected: ``True`` is not a rational input.
+    ``bool`` is rejected: ``True`` is not a rational input, and so is a
+    string whose decimal exponent is above ``_MAX_EXPONENT`` in size.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise ValidationError(f"not a rational number: {value!r}")
     try:
+        # Fraction's own exponent grammar: int() fails only past the digit limit.
+        exp = re.search(r"[eE]([-+]?\d+(?:_\d+)*)", value) if isinstance(value, str) else None
+        if exp and abs(int(exp[1])) > _MAX_EXPONENT:
+            raise ValidationError(f"an exponent must be at most {_MAX_EXPONENT} in size")
         return Fraction(value)
+    except ValidationError:
+        raise
     except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise ValidationError(f"not a rational number: {value!r}") from exc
 
@@ -63,13 +76,16 @@ class Pmf(Record):
     weights sum to exactly one and the first and last weight are nonzero,
     so structurally equal pmfs are equal distributions and vice versa.
     Use :func:`make_pmf` rather than the raw constructor; it trims and
-    rescales arbitrary weight lists.
+    rescales arbitrary weight lists.  The raw constructor checks the offset
+    and stores the weights as a tuple coerced by :func:`as_rational`.
     """
 
     offset: int
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        check_int(self.offset, "pmf offset")
+        object.__setattr__(self, "weights", tuple(as_rational(w) for w in self.weights))
         if not self.weights:
             raise ValidationError("pmf needs at least one weight")
         if any(w < 0 for w in self.weights):
@@ -181,8 +197,7 @@ def _variance_about(p: Pmf, mu: Fraction) -> Fraction:
 def tail(p: Pmf, a: int) -> Fraction:
     """Exact P(X >= a); 1 when a is at or below the support minimum."""
     check_int(a, "tail threshold")
-    idx = max(0, a - p.offset)
-    return sum(p.weights[idx:], Fraction(0))
+    return _threshold_tails(p, [a])[0]
 
 
 def two_sided_tail(p: Pmf, a: RationalLike) -> Fraction:
@@ -190,38 +205,38 @@ def two_sided_tail(p: Pmf, a: RationalLike) -> Fraction:
     a = as_rational(a)
     if a <= 0:
         raise ValidationError("two-sided threshold must be positive")
-    mu = mean(p)
-    return sum((w for k, w in p.items() if abs(k - mu) >= a), Fraction(0))
+    return _threshold_tails(p, [a], mean(p))[0]
 
 
 def _threshold_tails(
-    p: Pmf, thresholds: Sequence[int], mu: Optional[Fraction] = None
+    p: Pmf, thresholds: Sequence[Union[int, Fraction]], mu: Optional[Fraction] = None
 ) -> list[Fraction]:
-    """Exact tails at the given integer thresholds, one entry per threshold.
+    """Exact tails at the given thresholds, one entry per threshold.
 
-    With ``mu`` None the entry for a is P(X >= a), as :func:`tail` gives
-    it; with ``mu`` the mean it is P(|X - mu| >= a), as
-    :func:`two_sided_tail` gives it for a >= 1.  One pass over the pmf
-    fills a table sized by its support: suffix sums of the weights, or,
-    two-sided, the weights bucketed by d = floor(|k - mu|) and summed from
-    the far end.  Bucketing is exact because for an integer a,
-    |k - mu| >= a exactly when floor(|k - mu|) >= a.  A threshold outside
-    the table is clamped to its nearest end, so each one is a single
-    lookup and the cost is O(n + len(thresholds)), whatever their values.
+    With ``mu`` None the entry for an integer a is P(X >= a), as
+    :func:`tail` gives it; with ``mu`` the mean it is P(|X - mu| >= a) for
+    a rational a > 0, as :func:`two_sided_tail` gives it, and 1 for a <= 0.
+    Every entry is read from one suffix table of the weights: on the
+    integers, |X - mu| >= a > 0 exactly when X >= ceil(mu + a) or
+    X <= floor(mu - a), and P(X <= m) = 1 - P(X >= m + 1).  A lookup
+    outside the table is clamped to its nearest end, so the cost is
+    O(n + len(thresholds)), whatever the thresholds' values.
     """
+    w = p.weights
+    suffix = [Fraction(0)] * (len(w) + 1)
+    for i in reversed(range(len(w))):
+        suffix[i] = suffix[i + 1] + w[i]
+
+    def at_least(k: int) -> Fraction:
+        return suffix[min(max(k - p.offset, 0), len(w))]
+
     if mu is None:
-        shift, mass = p.offset, p.weights
-    else:
-        num, den = mu.numerator, mu.denominator
-        dist = [abs(k * den - num) // den for k, _ in p.items()]
-        shift, mass = 0, [Fraction(0)] * (max(dist) + 1)
-        for d, w in zip(dist, p.weights):
-            mass[d] += w
-    # suffix[i] is the mass at table positions i and beyond.
-    suffix = [Fraction(0)] * (len(mass) + 1)
-    for i in reversed(range(len(mass))):
-        suffix[i] = suffix[i + 1] + mass[i]
-    return [suffix[min(max(a - shift, 0), len(mass))] for a in thresholds]
+        return [at_least(a) for a in thresholds]
+    return [
+        at_least(math.ceil(mu + a)) + 1 - at_least(math.floor(mu - a) + 1)
+        if a > 0 else Fraction(1)
+        for a in thresholds
+    ]
 
 
 def shape(p: Pmf) -> ShapeReport:

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tailbounds import (
     OracleResult,
@@ -332,6 +335,75 @@ class TestPointCap:
         assert code == 3 and "100001 points; at most 100000 are allowed" in err
 
 
+class TestDigitLimit:
+    """Numbers past Python's int<->str limit exit 3 with one error line."""
+
+    TOO_LONG = (
+        "error: a number has more than 4300 digits, past Python's int<->str conversion limit\n"
+    )
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--pmf", "point:" + "7" * 4301, "--a", "1"],
+        ["sweep", "--pmf", "uniform:0..3", "--a", "1.." + "7" * 4301],
+    ], ids=["pmf-literal", "range"])
+    def test_integer_token_too_long_to_read(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (3, "", self.TOO_LONG)
+
+    def test_integer_token_in_input_json(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text('{"offset": 0, "weights": [%s, 1]}' % ("7" * 4301))
+        assert run_cli(capsys, "bound", "--input", str(path), "--a", "1") == (3, "", self.TOO_LONG)
+
+    @pytest.mark.parametrize("argv", [
+        ["extremal", "--a", "3", "--mu", "1e5000"],
+        ["bound", "--pmf", "weights:0;1e3000,1e-3000", "--a", "1"],
+    ], ids=["exact-result", "normalized-weights"])
+    def test_result_too_long_to_print(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (3, "", self.TOO_LONG)
+
+    def test_other_value_errors_surface(self, capsys, monkeypatch):
+        def broken(args):
+            raise ValueError("not an int<->str limit")
+
+        monkeypatch.setattr(tailbounds.cli, "_run_decompose", broken)
+        with pytest.raises(ValueError, match="not an int<->str limit"):
+            main(["decompose", "--pmf", "point:0"])
+
+
+class TestVerifyWorkCap:
+    """A ``verify`` grid's cells times N + 1 is capped at ``_MAX_VERIFY_COLUMNS``."""
+
+    @pytest.fixture
+    def small_cap(self, monkeypatch):
+        monkeypatch.setattr(tailbounds.cli, "_MAX_VERIFY_COLUMNS", 66)
+
+    @pytest.mark.parametrize("a, mu, N, cells", [
+        ("1..5", "1/2", "12", 5),  # 65 columns
+        ("1..2", "1/2,1,2", "10", 6),  # 66 columns
+    ], ids=["below", "at"])
+    def test_up_to_the_cap_allowed(self, capsys, small_cap, a, mu, N, cells):
+        code, out, _ = run_cli(capsys, "verify", "--a", a, "--mu", mu, "--N", N)
+        assert code == 0 and len(json.loads(out)) == cells
+
+    @pytest.mark.parametrize("a, N, message", [
+        ("1", "66", "verify would check 67 oracle columns (1 (a, mu) cells x 67)"),
+        ("1..4", "16", "verify would check 68 oracle columns (4 (a, mu) cells x 17)"),
+    ], ids=["one-cell", "four-cells"])
+    def test_above_the_cap_exits_3_before_any_oracle(
+        self, capsys, small_cap, monkeypatch, a, N, message
+    ):
+        def refuse(*args):
+            raise AssertionError("an oracle ran before the cap was checked")
+
+        monkeypatch.setattr(tailbounds.cli, "verify_tightness_theorem2", refuse)
+        assert run_cli(capsys, "verify", "--a", a, "--mu", "1/2", "--N", N) == (
+            3, "", f"error: {message}; at most 66 are allowed\n"
+        )
+
+    def test_documented_cap(self):
+        assert tailbounds.cli._MAX_VERIFY_COLUMNS == 10_000_000
+
+
 class TestFloatOption:
     @pytest.mark.parametrize(
         "argv",
@@ -372,3 +444,99 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["bound", "--nope"])
         assert excinfo.value.code == 2
+
+
+# Small tokens only: ranges of at most 20 values, N <= 60, at most 20
+# weights, so every generated invocation is cheap.
+INT_TEXT = st.integers(-5, 25).map(str)
+RANGE_TEXT = st.one_of(
+    INT_TEXT,
+    st.tuples(st.integers(-5, 20), st.integers(-1, 19)).map(lambda t: f"{t[0]}..{t[0] + t[1]}"),
+)
+RATIONAL_TEXT = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.fractions(min_value=-3, max_value=12, max_denominator=12).map(str),
+    st.sampled_from(["0.25", "1e1", "2.5e-1", "1e-2", "x", "", "1/0", "nan", "inf", "-0",
+                     "1e5_", "1e1__0", "1_0", "1e+0_1"]),
+)
+PMF_TEXT = st.one_of(
+    st.tuples(st.integers(-5, 10), st.integers(-1, 19)).map(
+        lambda t: f"uniform:{t[0]}..{t[0] + t[1]}"
+    ),
+    st.integers(-5, 10).map(lambda k: f"point:{k}"),
+    st.tuples(st.integers(-5, 5), st.lists(RATIONAL_TEXT, min_size=1, max_size=20)).map(
+        lambda t: f"weights:{t[0]};{','.join(t[1])}"
+    ),
+    st.sampled_from(["uniform:1", "gamma:1", "weights:0", "point:x", "point"]),
+)
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv for one of the five subcommands, sometimes with a flag dropped."""
+    def optional(*flag):
+        return list(flag) if draw(st.booleans()) else []
+
+    def choice(flag, values):
+        return optional(flag, draw(st.sampled_from(values)))
+
+    command = draw(st.sampled_from(["bound", "decompose", "extremal", "verify", "sweep"]))
+    pmf = ["--pmf", draw(PMF_TEXT)]
+    mode = choice("--mode", ["one-sided", "two-sided"])
+    # "--a=-3..5" and "--mu=-1/2": on their own argparse reads them as options.
+    if command == "bound":
+        argv = [*pmf, f"--a={draw(INT_TEXT)}", *mode, *choice("--format", ["json", "csv", "plain"]),
+                *optional("--float")]
+    elif command == "decompose":
+        argv = [*pmf, *choice("--kind", ["uniform", "interval"])]
+    elif command == "extremal":
+        argv = [f"--a={draw(INT_TEXT)}", f"--mu={draw(RATIONAL_TEXT)}",
+                *choice("--kind", ["discrete", "continuous"]),
+                *choice("--epsilon", ["0.1", "0.5", "1", "0", "-1", "2"]), *optional("--float")]
+    elif command == "verify":
+        mus = draw(st.lists(RATIONAL_TEXT, min_size=1, max_size=3))
+        argv = [f"--a={draw(RANGE_TEXT)}", f"--mu={','.join(mus)}",
+                "--N", str(draw(st.integers(-2, 60))), *choice("--format", ["json", "csv"])]
+    else:
+        argv = [*pmf, f"--a={draw(RANGE_TEXT)}", *mode, *choice("--format", ["json", "csv"]),
+                *optional("--float")]
+    if all(draw(st.booleans()) for _ in range(3)):
+        del argv[draw(st.integers(0, len(argv) - 1))]
+    return [command, *argv]
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+BIG = "1" * 4301
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argvs())
+@example(["bound", "--pmf", f"point:{BIG}", "--a", "1"])
+@example(["bound", "--pmf", f"uniform:0..{BIG}", "--a", "1"])
+@example(["bound", "--pmf", f"weights:{BIG};1", "--a", "1"])
+@example(["bound", "--pmf", f"weights:0;{BIG},1", "--a", "1"])
+@example(["sweep", "--pmf", "uniform:0..3", "--a", f"1..{BIG}"])
+@example(["extremal", "--a", "3", "--mu", "1e5000"])
+@example(["verify", "--a", "1", "--mu", "1e5000", "--N", "10"])
+@example(["bound", "--pmf", "weights:0;1e5000,1", "--a", "1"])
+@example(["bound", "--pmf", "weights:0;1e3000,1e-3000", "--a", "1"])
+@example(["extremal", "--a", "3", "--mu", "1e1000000"])
+@example(["extremal", "--a", "3", "--mu", "1e5_"])
+@example(["verify", "--a", "1", "--mu", "1e1__0", "--N", "10"])
+@example(["bound", "--pmf", "weights:0;1e5_,1", "--a", "1"])
+@example(["bound", "--pmf", "weights:0;1,1e-1000000", "--a", "1"])
+def test_any_argv_gives_a_result_or_one_error_line(argv):
+    code, out, err = run_main(argv)
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err
+    if code in (3, 4):
+        assert out == "" and err.count("\n") == 1

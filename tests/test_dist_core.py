@@ -30,7 +30,10 @@ from tailbounds import (
     variance,
     verify_tightness_theorem2,
 )
+import tailbounds.dist_core
 from tailbounds.dist_core import _threshold_tails
+
+from reference_tails import reference_tail, reference_threshold_tails, reference_two_sided_tail
 
 
 @st.composite
@@ -65,6 +68,30 @@ class TestAsRational:
         with pytest.raises(ValidationError):
             as_rational(value)
 
+    @pytest.mark.parametrize("text, value", [
+        ("1e4", 10**4), ("1e5", 10**5), ("2.5E-5", F(1, 40000)), ("1e+0_5", 10**5),
+    ])
+    def test_exponent_up_to_the_cap_allowed(self, monkeypatch, text, value):
+        monkeypatch.setattr(tailbounds.dist_core, "_MAX_EXPONENT", 5)
+        assert as_rational(text) == value
+
+    @pytest.mark.parametrize("text", ["1e6", "1E-6", "0.5e+6", "1e0_6"])
+    def test_exponent_above_the_cap_rejected(self, monkeypatch, text):
+        monkeypatch.setattr(tailbounds.dist_core, "_MAX_EXPONENT", 5)
+        with pytest.raises(ValidationError, match="exponent must be at most 5 in size"):
+            as_rational(text)
+
+    @pytest.mark.parametrize("text", [
+        "1e5_", "1e1__0", "1e_5", "1e", "1e+", "1e" + "0" * 4301 + "1", "7" * 4301,
+    ], ids=["trailing-underscore", "double-underscore", "leading-underscore", "no-digits",
+            "sign-only", "exponent-past-int-limit", "digits-past-int-limit"])
+    def test_malformed_or_unreadable_numerals_rejected(self, text):
+        with pytest.raises(ValidationError, match="not a rational number"):
+            as_rational(text)
+
+    def test_documented_cap(self):
+        assert tailbounds.dist_core._MAX_EXPONENT == 10_000
+
 
 # Every public entry point that takes an integer, called with True where
 # the integer goes and otherwise valid arguments; True is not the integer 1.
@@ -78,6 +105,7 @@ BOOL_AS_INTEGER = {
     "mixture_tail": lambda: mixture_tail(UniformMixture({1: F(1)}), True),
     "reduce_three_atoms": lambda: reduce_three_atoms(UniformMixture({1: F(1)}), True),
     "make_pmf-offset": lambda: make_pmf(True, [1]),
+    "Pmf-offset": lambda: Pmf(True, (F(1),)),
     "from_dict-offset": lambda: Pmf.from_dict({"offset": True, "weights": ["1"]}),
     "as_rational": lambda: as_rational(True),
     "UniformMixture-index": lambda: UniformMixture({True: F(1)}),
@@ -132,6 +160,26 @@ class TestMakePmf:
     def test_raw_constructor_rejects_unnormalized(self):
         with pytest.raises(ValidationError):
             Pmf(0, (F(1, 2), F(1, 4)))
+
+    def test_raw_constructor_makes_float_weights_exact(self):
+        p = Pmf(0, (0.5, 0.5))
+        assert p == make_pmf(0, [1, 1])
+        results = [mean(p), variance(p), tail(p, 1), two_sided_tail(p, F(1, 2))]
+        assert results == [F(1, 2), F(1, 4), F(1, 2), 1]
+        assert all(type(x) is F for x in [*p.weights, *results])
+
+    def test_raw_constructor_rejects_fractional_offset(self):
+        with pytest.raises(ValidationError, match="pmf offset must be an integer"):
+            Pmf(0.5, (F(1),))
+
+    def test_raw_constructor_stores_a_tuple(self):
+        p = Pmf(0, [F(1)])
+        assert p.weights == (F(1),) and hash(p) == hash(point_pmf(0))
+
+    def test_raw_constructor_coerces_rational_strings(self):
+        assert Pmf(0, ["1/4", "3/4"]) == make_pmf(0, [1, 3])
+        with pytest.raises(ValidationError, match="not a rational number"):
+            Pmf(0, ["x"])
 
 
 class TestMoments:
@@ -188,20 +236,43 @@ class TestTails:
 
     @given(tail_table_cases())
     def test_threshold_table_matches_each_tail(self, case):
+        # Integer thresholds from below the support to past it, and
+        # rational two-sided ones at, just off and between every exact
+        # distance |k - mu|, compared with the slice sum, the per-point
+        # filter and the distance buckets of tests/reference_tails.py.
         p, top = case
         mu = mean(p)
-        thresholds = range(1, top + 1)
-        one_sided = _threshold_tails(p, thresholds)
-        two_sided = _threshold_tails(p, thresholds, mu)
-        assert len(one_sided) == len(two_sided) == top
-        assert one_sided == [tail(p, a) for a in thresholds]
-        assert two_sided == [two_sided_tail(p, a) for a in thresholds]
+        integers = [*range(min(p.offset, 0) - 3, top + 1), 10**6]
+        one_sided = _threshold_tails(p, integers)
+        assert one_sided == reference_threshold_tails(p, integers)
+        assert one_sided == [tail(p, a) for a in integers]
+        assert one_sided == [reference_tail(p, a) for a in integers]
+        two_sided = _threshold_tails(p, integers, mu)
+        assert two_sided == reference_threshold_tails(p, integers, mu)
+        assert all(t == 1 for a, t in zip(integers, two_sided) if a <= 0)
+        distances = sorted({abs(k - mu) for k, _ in p.items()})
+        rationals = sorted(
+            {d + e for d in distances for e in (0, F(-1, 7), F(1, 3))}
+            | {(d + e) / 2 for d, e in zip(distances, distances[1:])}
+            | {F(-1, 2), F(0), F(1, 2), F(10**6, 3)}
+        )
+        two_sided = _threshold_tails(p, rationals, mu)
+        assert len(two_sided) == len(rationals)
+        for a, t in zip(rationals, two_sided):
+            if a > 0:
+                assert t == two_sided_tail(p, a) == reference_two_sided_tail(p, a)
+            else:
+                assert t == 1
 
     @pytest.mark.parametrize("mu", [None, F(1, 2)])
     def test_threshold_table_below_one_is_whole_or_empty(self, mu):
         p = make_pmf(0, [1, 1])
         assert _threshold_tails(p, [0, -3], mu) == [1, 1]
         assert _threshold_tails(p, [], mu) == []
+
+    def test_two_sided_table_at_zero_with_mass_at_the_mean(self):
+        # Both cuts of a = 0 meet at the mean, where this pmf has mass.
+        assert _threshold_tails(uniform_pmf(0, 2), [0], F(1)) == [1]
 
     def test_threshold_table_far_past_support(self):
         # One entry per threshold asked for, however large the threshold.

@@ -66,14 +66,15 @@ MUTANTS = [
            "in enumerate(zip(A, cost)):", "in enumerate(zip(A[1:], cost[1:]), 1):", EXTREMAL),
     Mutant("certificate skips the value check", "extremal.py",
            "if sum(obj[j] * x for j, x in solution.items()) != yb:", "if False:", EXTREMAL),
-    # dist_core's shared tail table and shape test.
-    Mutant("threshold tails off by one", "dist_core.py",
-           "suffix[min(max(a - shift, 0), len(mass))]",
-           "suffix[min(max(a - shift + 1, 0), len(mass))]", DIST_CORE),
-    Mutant("threshold tails bucket by ceil", "dist_core.py",
-           "abs(k * den - num) // den", "-(-abs(k * den - num) // den)", DIST_CORE),
-    Mutant("two-sided tail strict", "dist_core.py",
-           "if abs(k - mu) >= a)", "if abs(k - mu) > a)", DIST_CORE),
+    # dist_core's one tail table and shape test.
+    Mutant("upper cut floor for ceil", "dist_core.py",
+           "at_least(math.ceil(mu + a))", "at_least(math.floor(mu + a))", DIST_CORE),
+    Mutant("lower cut ceil for floor", "dist_core.py",
+           "at_least(math.floor(mu - a) + 1)", "at_least(math.ceil(mu - a) + 1)", DIST_CORE),
+    Mutant("lower lookup without + 1", "dist_core.py",
+           "at_least(math.floor(mu - a) + 1)", "at_least(math.floor(mu - a))", DIST_CORE),
+    Mutant("two-sided a >= 0 for a > 0", "dist_core.py",
+           "if a > 0 else Fraction(1)", "if a >= 0 else Fraction(1)", DIST_CORE),
     Mutant("shape decreasing run strict", "dist_core.py",
            "w[dec_start - 1] >= w[dec_start]", "w[dec_start - 1] > w[dec_start]", DIST_CORE),
     # The decompositions and the closed-form proof transforms.

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``bound``, ``decompose``, ``extremal``, ``verify``,
-``sweep``.  Output is JSON by default; ``--format csv`` and
-``--format plain`` are available where a table makes sense.  Exit
+``sweep``.  Output is JSON; ``bound``, ``verify`` and ``sweep`` take
+``--format csv`` too, and ``bound`` ``--format plain``.  Exit
 codes: 0 ok, 2 usage, 3 validation, 4 infeasible, 5 soundness
 violation (an oracle beat a proven bound or failed its certificate
 check, or a construction missed its bound, i.e. a bug).
@@ -112,7 +112,7 @@ def parse_pmf_literal(text: str) -> Pmf:
                 weights.append(as_rational(token.strip()))
             except ValidationError as exc:
                 raise ValidationError(
-                    f"pmf literal {text!r}: bad weight {token!r} at position {cursor}"
+                    f"pmf literal {text!r}: bad weight {token!r} at position {cursor}: {exc}"
                 ) from exc
             cursor += len(token) + 1
         return make_pmf(int(offset_text), weights)
@@ -309,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_decompose)
     add_pmf_opts(p)
     p.add_argument("--kind", choices=["uniform", "interval"], default="uniform")
-    add_format(p, choices=("json",))
 
     p = sub.add_parser("extremal", help="construct a worst-case distribution")
     p.set_defaults(run=_run_extremal)
@@ -317,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", required=True, type=int)
     p.add_argument("--mu", required=True)
     p.add_argument("--epsilon", type=float)
-    add_format(p, choices=("json",))
     add_float(p)
 
     p = sub.add_parser("verify", help="tightness sweep of the sharpened Markov bound")

@@ -2,15 +2,16 @@
 
 A decreasing pmf on {0,1,...} is a convex combination of discrete
 uniforms {0..i}; a unimodal pmf is a convex combination of discrete
-uniforms on nested intervals (its super-level sets).  Both directions
-are exact.  The proof transforms that push a decreasing pmf towards its
-extremal two-atom form, in closed form, live here as well.
+uniforms on nested intervals (its super-level sets); one sweep over
+those sets gives both decompositions.  Both directions are exact.  The
+proof transforms that push a decreasing pmf towards its extremal
+two-atom form, in closed form, live here as well.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from ._record import Record
 from .dist_core import Pmf, as_rational, check_int, make_pmf, shape
@@ -91,6 +92,8 @@ def _canonical_atoms(atoms: Mapping, check_key: Callable[[object], None], kind: 
     Every atom is checked before any is sorted, so a malformed key beside
     a valid one raises ValidationError, not a TypeError from the sort.
     """
+    if not isinstance(atoms, Mapping):
+        raise ValidationError(f"{kind} atoms must be a mapping; got {type(atoms).__name__}")
     checked = []
     for key, raw in atoms.items():
         check_key(key)
@@ -120,17 +123,10 @@ def mixture_tail(m: UniformMixture, a: int) -> Fraction:
 
 
 def to_uniform_mixture(p: Pmf) -> UniformMixture:
-    """Decompose a decreasing pmf as d_i = (i+1)(p_i - p_{i+1})."""
+    """d_i = (i+1)(p_i - p_{i+1}): the layers of a decreasing pmf's level sets {0..i}."""
     if not shape(p).is_decreasing:
         raise ShapeViolationError("uniform-mixture decomposition needs a decreasing pmf")
-    w = p.weights
-    atoms = {}
-    for i in range(len(w)):
-        nxt = w[i + 1] if i + 1 < len(w) else Fraction(0)
-        d = (i + 1) * (w[i] - nxt)
-        if d != 0:
-            atoms[i] = d
-    return UniformMixture(atoms)
+    return UniformMixture({r: mass for _, r, mass in _level_sets(p.weights)})
 
 
 def from_uniform_mixture(m: UniformMixture) -> Pmf:
@@ -150,20 +146,33 @@ def unimodal_to_interval_mixture(p: Pmf) -> IntervalMixture:
     """Layer decomposition over super-level sets of a unimodal pmf."""
     if not shape(p).is_unimodal:
         raise ShapeViolationError("interval-mixture decomposition needs a unimodal pmf")
-    w = p.weights
-    levels = sorted(set(v for v in w if v > 0))
-    atoms = {}
-    prev = Fraction(0)
-    for level in levels:
-        idx = [k for k, v in enumerate(w) if v >= level]
-        l, r = idx[0], idx[-1]
-        if idx != list(range(l, r + 1)):
-            raise SoundnessViolationError(
-                f"super-level set {level} of a unimodal pmf is not contiguous"
-            )
-        atoms[(p.offset + l, p.offset + r)] = (level - prev) * (r - l + 1)
+    return IntervalMixture(
+        {(p.offset + l, p.offset + r): mass for l, r, mass in _level_sets(p.weights)}
+    )
+
+
+def _level_sets(weights: Sequence[Fraction]) -> Iterator[tuple[int, int, Fraction]]:
+    """Layers (l, r, (v - u)(r - l + 1)) of unimodal weights' super-level sets.
+
+    One sweep over the sorted distinct positive levels v (u the one
+    before) finds every set {l..r}, since the sets only shrink as v rises.
+    A gap inside [l, r] is counted at every level above it, so unless each
+    set is contiguous the layers outweigh the weights' total of 1, which
+    raises SoundnessViolationError.
+    """
+    l, r = 0, len(weights) - 1
+    prev = total = Fraction(0)
+    for level in sorted(set(weights) - {0}):
+        while weights[l] < level:
+            l += 1
+        while weights[r] < level:
+            r -= 1
+        mass = (level - prev) * (r - l + 1)
+        total += mass
         prev = level
-    return IntervalMixture(atoms)
+        yield l, r, mass
+    if total != 1:
+        raise SoundnessViolationError(f"level sets are not contiguous: layers hold {total}")
 
 
 def from_interval_mixture(m: IntervalMixture) -> Pmf:

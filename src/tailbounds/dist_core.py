@@ -59,6 +59,12 @@ def as_rational(value: RationalLike) -> Fraction:
         raise ValidationError(f"not a rational number: {value!r}") from exc
 
 
+def _check_array(weights: object) -> None:
+    """Raise ValidationError unless pmf weights come as a list or tuple."""
+    if not isinstance(weights, (list, tuple)):
+        raise ValidationError(f"pmf weights must be a list or tuple; got {type(weights).__name__}")
+
+
 def _render_rational(value: Union[Fraction, float], exact: bool) -> Union[str, float]:
     """JSON form of a result: ``"num/den"``, or a float when not ``exact``.
 
@@ -77,7 +83,8 @@ class Pmf(Record):
     so structurally equal pmfs are equal distributions and vice versa.
     Use :func:`make_pmf` rather than the raw constructor; it trims and
     rescales arbitrary weight lists.  The raw constructor checks the offset
-    and stores the weights as a tuple coerced by :func:`as_rational`.
+    and stores the weights, a list or tuple, as a tuple coerced by
+    :func:`as_rational`.
     """
 
     offset: int
@@ -85,6 +92,7 @@ class Pmf(Record):
 
     def __post_init__(self) -> None:
         check_int(self.offset, "pmf offset")
+        _check_array(self.weights)
         object.__setattr__(self, "weights", tuple(as_rational(w) for w in self.weights))
         if not self.weights:
             raise ValidationError("pmf needs at least one weight")
@@ -148,8 +156,9 @@ class ShapeReport(Record):
 
 
 def make_pmf(offset: int, weights: Sequence[RationalLike]) -> Pmf:
-    """Build a canonical pmf, rescaling weights by their exact sum."""
+    """Build a canonical pmf, rescaling a list or tuple of weights by their exact sum."""
     check_int(offset, "offset")
+    _check_array(weights)
     ws = [as_rational(w) for w in weights]
     if not ws:
         raise ValidationError("pmf needs at least one weight")

@@ -56,6 +56,17 @@ class TestParsePmfLiteral:
         with pytest.raises(ValidationError, match="pmf literal"):
             parse_pmf_literal(literal)
 
+    @pytest.mark.parametrize("token, reason", [
+        ("1e10001", "an exponent must be at most 10000 in size"),
+        ("1/x", "not a rational number: '1/x'"),
+    ], ids=["exponent-cap", "not-rational"])
+    def test_bad_weight_says_why(self, capsys, token, reason):
+        literal = f"weights:0;{token},1"
+        message = f"pmf literal {literal!r}: bad weight {token!r} at position 10: {reason}"
+        assert run_cli(capsys, "bound", "--pmf", literal, "--a", "1") == (
+            3, "", f"error: {message}\n"
+        )
+
 
 class TestBoundCommand:
     def test_paper_example_json(self, capsys):
@@ -418,6 +429,20 @@ class TestFloatOption:
             main(argv)
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --float" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decompose", "--pmf", "weights:0;1/2,1/4,1/4", "--format", "json"],
+            ["extremal", "--a", "9", "--mu", "17/4", "--format", "json"],
+        ],
+        ids=["decompose", "extremal"],
+    )
+    def test_commands_with_only_json_output_reject_format(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 # stdout, stderr and exit code of one invocation per subcommand, format,

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tailbounds import (
     IntervalMixture,
@@ -29,6 +29,10 @@ from tailbounds import (
 )
 
 from genpmf import random_three_atom_mixture, random_uniform_mixture
+from reference_decompose import (
+    reference_to_uniform_mixture,
+    reference_unimodal_to_interval_mixture,
+)
 from reference_transforms import _merge_step, reference_flatten_head, reference_merge_tail_atoms
 
 
@@ -82,6 +86,20 @@ def uniform_mixtures(st_draw, max_index=79):
 )
 def test_atoms_validated_before_sorting_and_dropping_zeros(build):
     with pytest.raises(ValidationError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, kind",
+    [
+        (lambda: UniformMixture(5), "mixture"),
+        (lambda: UniformMixture([1]), "mixture"),
+        (lambda: IntervalMixture(5), "interval"),
+    ],
+    ids=["uniform-int", "uniform-list", "interval-int"],
+)
+def test_atoms_must_be_a_mapping(build, kind):
+    with pytest.raises(ValidationError, match=f"{kind} atoms must be a mapping"):
         build()
 
 
@@ -199,6 +217,67 @@ class TestIntervalMixture:
     @given(unimodal_pmfs())
     def test_roundtrip_identity(self, p):
         assert from_interval_mixture(unimodal_to_interval_mixture(p)) == p
+
+
+def _outcome(decompose, p):
+    """The mixture, or the type and message of the error raised instead."""
+    try:
+        return decompose(p)
+    except (ShapeViolationError, SoundnessViolationError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def shaped_pmfs(st_draw, max_size=12, max_weight=3):
+    """Decreasing, unimodal or unshaped pmfs with few, often tied, levels."""
+    ws = st_draw(st.lists(st.integers(0, max_weight), min_size=1, max_size=max_size))
+    ws = ws if any(ws) else ws + [1]
+    kind = st_draw(st.sampled_from(["decreasing", "unimodal", "unshaped"]))
+    if kind == "decreasing":
+        ws = sorted(ws, reverse=True)
+    elif kind == "unimodal":
+        mode = st_draw(st.integers(0, len(ws)))
+        ws = sorted(ws[:mode]) + sorted(ws[mode:], reverse=True)
+    # Only offset 0 lets a decreasing sequence count as a decreasing pmf.
+    return make_pmf(st_draw(st.just(0) | st.integers(-5, 5)), ws)
+
+
+class TestSweepMatchesReference:
+    """Both decompositions equal the d_i loop and the per-level scan exactly."""
+
+    @given(shaped_pmfs())
+    def test_small_pmfs(self, p):
+        assert _outcome(to_uniform_mixture, p) == _outcome(reference_to_uniform_mixture, p)
+        assert _outcome(unimodal_to_interval_mixture, p) == _outcome(
+            reference_unimodal_to_interval_mixture, p
+        )
+
+    @pytest.mark.parametrize(
+        "weights, offset",
+        [([1], -5), ([1], 0), ([7], 5), ([2] * 9, 0), ([2] * 9, -3), ([1, 1, 3, 3, 1], 4),
+         ([4, 4, 2, 2, 2, 1], 0)],
+        ids=["point-below-0", "point-at-0", "point-above-0", "flat-at-0", "flat-below-0",
+             "tied-plateau", "tied-steps"],
+    )
+    def test_edges(self, weights, offset):
+        p = make_pmf(offset, weights)
+        if offset == 0 and weights == sorted(weights, reverse=True):
+            assert to_uniform_mixture(p) == reference_to_uniform_mixture(p)
+        assert unimodal_to_interval_mixture(p) == reference_unimodal_to_interval_mixture(p)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.lists(st.integers(1, 10**6), min_size=280, max_size=320),
+        st.integers(0, 320),
+        st.integers(-20, 20),
+    )
+    def test_large_pmfs(self, ws, mode, offset):
+        # The shape of decompose_roundtrip's large items: 280-320 points
+        # with weights up to 10^6, so nearly every level is distinct.
+        p = make_pmf(offset, sorted(ws[:mode]) + sorted(ws[mode:], reverse=True))
+        assert unimodal_to_interval_mixture(p) == reference_unimodal_to_interval_mixture(p)
+        q = make_pmf(0, sorted(ws, reverse=True))
+        assert to_uniform_mixture(q) == reference_to_uniform_mixture(q)
 
 
 class TestFlattenHead:

@@ -176,6 +176,20 @@ class TestMakePmf:
         p = Pmf(0, [F(1)])
         assert p.weights == (F(1),) and hash(p) == hash(point_pmf(0))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: make_pmf(0, "12"),
+            lambda: make_pmf(0, 5),
+            lambda: Pmf(0, "1"),
+            lambda: Pmf(0, 5),
+        ],
+        ids=["make_pmf-string", "make_pmf-int", "Pmf-string", "Pmf-int"],
+    )
+    def test_weights_must_be_a_list_or_tuple(self, build):
+        with pytest.raises(ValidationError, match="pmf weights must be a list or tuple"):
+            build()
+
     def test_raw_constructor_coerces_rational_strings(self):
         assert Pmf(0, ["1/4", "3/4"]) == make_pmf(0, [1, 3])
         with pytest.raises(ValidationError, match="not a rational number"):

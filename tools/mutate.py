@@ -10,7 +10,8 @@ checked against the source before the first run, so a stale one stops
 the script at once. A mutant is killed when those tests fail or time
 out, and survives when they pass. Survivors are printed at the end and
 make the exit status 1. Standard library only; not part of the test
-suite, since it runs the covering tests once per mutant.
+suite, since it runs the covering tests once per mutant, but
+``tests/test_mutants.py`` checks every snippet against the source.
 """
 from __future__ import annotations
 
@@ -77,9 +78,18 @@ MUTANTS = [
            "if a > 0 else Fraction(1)", "if a >= 0 else Fraction(1)", DIST_CORE),
     Mutant("shape decreasing run strict", "dist_core.py",
            "w[dec_start - 1] >= w[dec_start]", "w[dec_start - 1] > w[dec_start]", DIST_CORE),
-    # The decompositions and the closed-form proof transforms.
-    Mutant("uniform weights i for i + 1", "decompose.py",
-           "d = (i + 1) * (w[i] - nxt)", "d = i * (w[i] - nxt)", DECOMPOSE),
+    # The one level-set sweep behind both decompositions.
+    Mutant("level sweep l pointer <= for <", "decompose.py",
+           "while weights[l] < level:", "while weights[l] <= level:", DECOMPOSE),
+    Mutant("level sweep r pointer <= for <", "decompose.py",
+           "while weights[r] < level:", "while weights[r] <= level:", DECOMPOSE),
+    Mutant("layer mass level for level - prev", "decompose.py",
+           "mass = (level - prev) * (r - l + 1)", "mass = level * (r - l + 1)", DECOMPOSE),
+    Mutant("layer mass r - l for r - l + 1", "decompose.py",
+           "mass = (level - prev) * (r - l + 1)", "mass = (level - prev) * (r - l)", DECOMPOSE),
+    Mutant("layer mass invariant disabled", "decompose.py",
+           "if total != 1:", "if False:", DECOMPOSE),
+    # The closed-form proof transforms.
     Mutant("flatten_head level denominator", "decompose.py",
            "a * (a + 1))", "a * (a + 2))", DECOMPOSE),
     Mutant("merge_tail_atoms k + 1", "decompose.py", "k = S // M", "k = S // M + 1", DECOMPOSE),

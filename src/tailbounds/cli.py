@@ -32,12 +32,7 @@ from .dist_core import (
     point_pmf,
     uniform_pmf,
 )
-from .errors import (
-    InfeasibleError,
-    ShapeViolationError,
-    SoundnessViolationError,
-    ValidationError,
-)
+from .errors import TailBoundsError, ValidationError
 from .extremal import (
     extremal_markov_continuous,
     extremal_markov_discrete,
@@ -45,12 +40,6 @@ from .extremal import (
     tightness_rows_to_csv,
     tightness_rows_to_json,
 )
-
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_VALIDATION = 3
-EXIT_INFEASIBLE = 4
-EXIT_SOUNDNESS = 5
 
 # Most thresholds one ``--a lo..hi`` range may hold.
 _MAX_RANGE_VALUES = 10_000
@@ -218,6 +207,8 @@ def _run_extremal(args: argparse.Namespace) -> str:
             raise ValidationError(f"--a or --mu is too large for a float: {exc}") from exc
         spec = extremal_markov_continuous(a, mu, args.epsilon)
     else:
+        if args.epsilon is not None:
+            raise ValidationError("--epsilon applies only to --kind continuous")
         spec = extremal_markov_discrete(args.a, mu)
     return json.dumps(spec.to_dict(not args.as_float), indent=2)
 
@@ -336,19 +327,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_ranges(argv: Sequence[str]) -> list[str]:
+    """``--a -1..7`` as ``--a=-1..7``.
+
+    argparse reads a lone token that starts with ``-`` and is not a plain
+    negative number, such as the range ``-1..7``, as an option.
+    """
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] == "--a" and re.match(r"-\d", token):
+            joined[-1] = f"--a={token}"
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_ranges(sys.argv[1:] if argv is None else argv))
     try:
         output = args.run(args)
-    except (ValidationError, ShapeViolationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except SoundnessViolationError as exc:
-        print(f"soundness violation: {exc}", file=sys.stderr)
-        return EXIT_SOUNDNESS
+    except TailBoundsError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except ValueError as exc:
         # Raised by int(text) or str(n) past Python's int<->str limit: an
         # integer token of a pmf literal, a range or --input JSON, or an
@@ -360,9 +360,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             " past Python's int<->str conversion limit",
             file=sys.stderr,
         )
-        return EXIT_VALIDATION
+        return ValidationError.exit_code
     print(output)
-    return EXIT_OK
+    return 0
 
 
 if __name__ == "__main__":

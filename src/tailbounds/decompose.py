@@ -154,23 +154,23 @@ def unimodal_to_interval_mixture(p: Pmf) -> IntervalMixture:
 def _level_sets(weights: Sequence[Fraction]) -> Iterator[tuple[int, int, Fraction]]:
     """Layers (l, r, (v - u)(r - l + 1)) of unimodal weights' super-level sets.
 
-    One sweep over the sorted distinct positive levels v (u the one
-    before) finds every set {l..r}, since the sets only shrink as v rises.
-    A gap inside [l, r] is counted at every level above it, so unless each
-    set is contiguous the layers outweigh the weights' total of 1, which
-    raises SoundnessViolationError.
+    Walked from the window ends in O(n), with no sort: the smaller end of a
+    unimodal window {l..r} is its next level v (u the one before), and each
+    pointer then skips end weights <= v.  A gap in [l, r] is counted at every
+    higher level, so non-contiguous sets sum past 1: SoundnessViolationError.
     """
     l, r = 0, len(weights) - 1
     prev = total = Fraction(0)
-    for level in sorted(set(weights) - {0}):
-        while weights[l] < level:
-            l += 1
-        while weights[r] < level:
-            r -= 1
+    while l <= r:
+        level = min(weights[l], weights[r])
         mass = (level - prev) * (r - l + 1)
         total += mass
         prev = level
         yield l, r, mass
+        while l <= r and weights[l] <= level:
+            l += 1
+        while l <= r and weights[r] <= level:
+            r -= 1
     if total != 1:
         raise SoundnessViolationError(f"level sets are not contiguous: layers hold {total}")
 
@@ -236,7 +236,7 @@ def reduce_three_atoms(m: UniformMixture, a: int) -> UniformMixture:
     the three weights come back unchanged.
     """
     check_int(a, "reduction threshold", 1)
-    positive = sorted(i for i, w in m.atoms.items() if w > 0)
+    positive = list(m.atoms)
     nonzero = [i for i in positive if i != 0]
     if not nonzero:
         return m

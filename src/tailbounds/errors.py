@@ -2,7 +2,14 @@
 
 
 class TailBoundsError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    ``exit_code`` and ``label`` are the CLI's exit status and stderr
+    prefix for the error.
+    """
+
+    exit_code = 3
+    label = "error"
 
 
 class ValidationError(TailBoundsError, ValueError):
@@ -16,6 +23,12 @@ class ShapeViolationError(TailBoundsError, ValueError):
 class InfeasibleError(TailBoundsError, ValueError):
     """No distribution in the constraint class matches the request."""
 
+    exit_code = 4
+    label = "infeasible"
+
 
 class SoundnessViolationError(TailBoundsError, RuntimeError):
     """An oracle exceeded a proven bound or failed its certificate check; a bug."""
+
+    exit_code = 5
+    label = "soundness violation"

@@ -187,6 +187,12 @@ class TestExtremalCommand:
         )
         assert code == 3 and "epsilon" in err
 
+    def test_discrete_rejects_epsilon(self, capsys):
+        # Only the continuous construction reads --epsilon.
+        assert run_cli(
+            capsys, "extremal", "--a", "3", "--mu", "3/4", "--epsilon", "0.1"
+        ) == (3, "", "error: --epsilon applies only to --kind continuous\n")
+
     def test_continuous_mean_too_large_for_float(self, capsys):
         code, out, err = run_cli(
             capsys, "extremal", "--kind", "continuous", "--a", "1", "--mu", "1e400",
@@ -278,6 +284,22 @@ class TestSweepCommand:
         )
         assert code == 0
         assert calls == {"shape": 1, "mean": 1}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--pmf", "uniform:0..5", "--format", "csv"],
+        ["verify", "--mu", "1/2", "--N", "10"],
+    ],
+    ids=["sweep", "verify"],
+)
+@pytest.mark.parametrize("a", ["-1..7", "-3", "-2..x"])
+def test_range_after_a_reads_like_a_joined_range(capsys, argv, a):
+    # argparse reads a lone "-1..7" as an option, so "--a -1..7" is joined.
+    spaced = run_cli(capsys, *argv, "--a", a)
+    assert spaced == run_cli(capsys, *argv, f"--a={a}")
+    assert spaced[0] in (0, 3)
 
 
 class TestRangeCap:
@@ -508,7 +530,10 @@ def cli_argvs(draw):
     command = draw(st.sampled_from(["bound", "decompose", "extremal", "verify", "sweep"]))
     pmf = ["--pmf", draw(PMF_TEXT)]
     mode = choice("--mode", ["one-sided", "two-sided"])
-    # "--a=-3..5" and "--mu=-1/2": on their own argparse reads them as options.
+    # "--mu=-1/2": on its own argparse reads it as an option.  A range is
+    # drawn both ways, "--a -3..5" and "--a=-3..5".
+    a_range = draw(RANGE_TEXT)
+    a_range = ["--a", a_range] if draw(st.booleans()) else [f"--a={a_range}"]
     if command == "bound":
         argv = [*pmf, f"--a={draw(INT_TEXT)}", *mode, *choice("--format", ["json", "csv", "plain"]),
                 *optional("--float")]
@@ -520,10 +545,10 @@ def cli_argvs(draw):
                 *choice("--epsilon", ["0.1", "0.5", "1", "0", "-1", "2"]), *optional("--float")]
     elif command == "verify":
         mus = draw(st.lists(RATIONAL_TEXT, min_size=1, max_size=3))
-        argv = [f"--a={draw(RANGE_TEXT)}", f"--mu={','.join(mus)}",
+        argv = [*a_range, f"--mu={','.join(mus)}",
                 "--N", str(draw(st.integers(-2, 60))), *choice("--format", ["json", "csv"])]
     else:
-        argv = [*pmf, f"--a={draw(RANGE_TEXT)}", *mode, *choice("--format", ["json", "csv"]),
+        argv = [*pmf, *a_range, *mode, *choice("--format", ["json", "csv"]),
                 *optional("--float")]
     if all(draw(st.booleans()) for _ in range(3)):
         del argv[draw(st.integers(0, len(argv) - 1))]

@@ -204,15 +204,18 @@ class TestIntervalMixture:
 
     def test_non_contiguous_level_set_is_soundness_violation(self, monkeypatch):
         # A shape check that wrongly passes [2, 1, 2] leaves the level set
-        # {0, 2}; the decomposition must refuse it under python -O too.
+        # {0, 2}; the decomposition must refuse it under python -O too.  In
+        # [3, 1, 2, 1, 3] the walk skips the interior levels, whose layers
+        # all share the window {0..4}, so they telescope into one.
         import tailbounds.decompose
 
         monkeypatch.setattr(
             tailbounds.decompose, "shape",
             lambda p: ShapeReport(is_decreasing=False, is_unimodal=True, mode=0),
         )
-        with pytest.raises(SoundnessViolationError, match="not contiguous"):
-            unimodal_to_interval_mixture(make_pmf(0, [2, 1, 2]))
+        for weights, held in [([2, 1, 2], "6/5"), ([3, 1, 2, 1, 3], "3/2")]:
+            with pytest.raises(SoundnessViolationError, match=f"not contiguous: layers hold {held}$"):
+                unimodal_to_interval_mixture(make_pmf(0, weights))
 
     @given(unimodal_pmfs())
     def test_roundtrip_identity(self, p):

@@ -7,9 +7,12 @@ Each mutant replaces one exact snippet of a module under
 must still parse) in a temporary copy of ``src/`` and ``tests/``, then
 runs the test files that cover it with ``pytest -x``. Every snippet is
 checked against the source before the first run, so a stale one stops
-the script at once. A mutant is killed when those tests fail or time
-out, and survives when they pass. Survivors are printed at the end and
-make the exit status 1. Standard library only; not part of the test
+the script at once. Each group of covering test files is then run once
+unmutated: a failure there stops the script with a non-zero exit that
+names the group, and the run's time sets the group's mutant timeout
+(four times it, plus 30 s). A mutant is killed when those tests fail or
+time out, and survives when they pass. Survivors are printed at the end
+and make the exit status 1. Standard library only; not part of the test
 suite, since it runs the covering tests once per mutant, but
 ``tests/test_mutants.py`` checks every snippet against the source.
 """
@@ -26,7 +29,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT_S = 600
 
 
 class Mutant(NamedTuple):
@@ -78,11 +80,15 @@ MUTANTS = [
            "if a > 0 else Fraction(1)", "if a >= 0 else Fraction(1)", DIST_CORE),
     Mutant("shape decreasing run strict", "dist_core.py",
            "w[dec_start - 1] >= w[dec_start]", "w[dec_start - 1] > w[dec_start]", DIST_CORE),
-    # The one level-set sweep behind both decompositions.
-    Mutant("level sweep l pointer <= for <", "decompose.py",
-           "while weights[l] < level:", "while weights[l] <= level:", DECOMPOSE),
-    Mutant("level sweep r pointer <= for <", "decompose.py",
-           "while weights[r] < level:", "while weights[r] <= level:", DECOMPOSE),
+    # The one level-set walk behind both decompositions. A pointer that
+    # stops on an end weight equal to the level loops forever.
+    Mutant("level walk l pointer < for <=", "decompose.py",
+           "weights[l] <= level:", "weights[l] < level:", DECOMPOSE),
+    Mutant("level walk r pointer < for <=", "decompose.py",
+           "weights[r] <= level:", "weights[r] < level:", DECOMPOSE),
+    Mutant("level walk max for min", "decompose.py",
+           "level = min(weights[l], weights[r])", "level = max(weights[l], weights[r])",
+           DECOMPOSE),
     Mutant("layer mass level for level - prev", "decompose.py",
            "mass = (level - prev) * (r - l + 1)", "mass = level * (r - l + 1)", DECOMPOSE),
     Mutant("layer mass r - l for r - l + 1", "decompose.py",
@@ -107,6 +113,40 @@ def _mutated(source: str, mutant: Mutant) -> str:
     return out
 
 
+def _pytest(
+    work: Path, env: dict, tests: tuple[str, ...], timeout: float | None = None
+) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *(f"tests/{name}" for name in tests)],
+        cwd=work, env=env, capture_output=True, text=True, timeout=timeout,
+    )
+
+
+def _timeouts(work: Path, env: dict, groups: list[tuple[str, ...]]) -> dict:
+    """Run each test group once, unmutated, and time its mutants from that run.
+
+    A group that fails unmutated would report every mutant as killed, so
+    it stops the script before the first mutant.  A mutant may take a few
+    times its group's run, plus a margin for a loaded machine, before it
+    counts as looping.
+    """
+    timeouts = {}
+    for group in dict.fromkeys(groups):
+        start = time.perf_counter()
+        proc = _pytest(work, env, group)
+        elapsed = time.perf_counter() - start
+        if proc.returncode != 0:
+            raise SystemExit(
+                f"baseline run of {' '.join(group)} failed unmutated"
+                f" (pytest exit {proc.returncode}); no mutant was run\n{proc.stdout[-2000:]}"
+            )
+        timeouts[group] = 4 * elapsed + 30
+        print(f"{'baseline':<17} {elapsed:6.1f}s  {' '.join(group)}"
+              f" (mutant timeout {timeouts[group]:.0f}s)", flush=True)
+    return timeouts
+
+
 def run(mutants: list[Mutant]) -> list[Mutant]:
     src = ROOT / "src" / "tailbounds"
     texts = [_mutated((src / m.module).read_text(), m) for m in mutants]
@@ -118,17 +158,14 @@ def run(mutants: list[Mutant]) -> list[Mutant]:
                         ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
         env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        timeouts = _timeouts(work, env, [m.tests for m in mutants])
         for mutant, text in zip(mutants, texts):
             path = work / "src" / "tailbounds" / mutant.module
             original = path.read_text()
             path.write_text(text)
             start = time.perf_counter()
             try:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                     *(f"tests/{name}" for name in mutant.tests)],
-                    cwd=work, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
-                )
+                proc = _pytest(work, env, mutant.tests, timeouts[mutant.tests])
                 status = "survived" if proc.returncode == 0 else "killed"
             except subprocess.TimeoutExpired:
                 status = "killed (timeout)"

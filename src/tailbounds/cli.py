@@ -14,10 +14,10 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import __version__
-from .bounds import TailMode, _bounds_at, _pmf_terms
+from .bounds import BoundResult, TailMode, _bounds_at, _pmf_terms, _PmfTerms
 from .decompose import (
     to_uniform_mixture,
     unimodal_to_interval_mixture,
@@ -152,38 +152,45 @@ def _clamped(value: Union[Fraction, float]) -> str:
     return str(value)
 
 
-def _run_bound(args: argparse.Namespace) -> str:
+def _tail_rows(
+    args: argparse.Namespace, read_thresholds: Callable[[], list[int]]
+) -> tuple[Pmf, _PmfTerms, list[tuple[int, Fraction, list[BoundResult]]]]:
+    """The pmf, its terms and one ``(a, exact tail, bounds)`` row per threshold.
+
+    The CLI's one bound table: shape, moments and tails are computed once
+    per pmf.  The thresholds are read after the pmf, whose errors come first.
+    """
     pmf = _load_pmf(args)
-    mode = TailMode(args.mode)
+    thresholds = read_thresholds()
+    terms = _pmf_terms(pmf, TailMode(args.mode))
+    centre = terms.mean if terms.mode is TailMode.TWO_SIDED else None
+    tails = _threshold_tails(pmf, thresholds, centre)
+    return pmf, terms, [(a, t, _bounds_at(terms, a)) for a, t in zip(thresholds, tails)]
+
+
+def _run_bound(args: argparse.Namespace) -> str:
+    pmf, terms, [(a, exact_tail, results)] = _tail_rows(args, lambda: [args.a])
     exact = not args.as_float
-    terms = _pmf_terms(pmf, mode)
-    mu = terms.mean
-    results = _bounds_at(terms, args.a)
-    [exact_tail] = _threshold_tails(pmf, [args.a], mu if mode is TailMode.TWO_SIDED else None)
     if args.format == "json":
-        var = _variance_about(pmf, mu) if terms.variance is None else terms.variance
+        var = _variance_about(pmf, terms.mean) if terms.variance is None else terms.variance
         payload = {
-            "a": args.a,
-            "mode": mode.value,
+            "a": a,
+            "mode": terms.mode.value,
             "exact_tail": _render_rational(exact_tail, exact),
-            "mean": _render_rational(mu, exact),
+            "mean": _render_rational(terms.mean, exact),
             "variance": _render_rational(var, exact),
             "bounds": [r.to_dict(exact) for r in results],
         }
         return json.dumps(payload, indent=2)
     if args.format == "csv":
-        lines = ["formula,value"]
-        lines.append(f"ExactTail,{_render_rational(exact_tail, exact)}")
+        lines = ["formula,value", f"ExactTail,{_render_rational(exact_tail, exact)}"]
         lines.extend(f"{r.formula.value},{_render_rational(r.value, exact)}" for r in results)
         return "\n".join(lines)
-    if mode is TailMode.ONE_SIDED_UPPER:
-        tail_label = f"P(X >= {args.a})"
-    else:
-        tail_label = f"P(|X - E[X]| >= {args.a})"
+    one_sided = terms.mode is TailMode.ONE_SIDED_UPPER
+    tail_label = f"P(X >= {a})" if one_sided else f"P(|X - E[X]| >= {a})"
     lines = [f"exact tail {tail_label} = {exact_tail}"]
     width = max(len(r.formula.value) for r in results)
-    for r in results:
-        lines.append(f"{r.formula.value:<{width}}  {_clamped(r.value)}")
+    lines.extend(f"{r.formula.value:<{width}}  {_clamped(r.value)}" for r in results)
     return "\n".join(lines)
 
 
@@ -199,6 +206,8 @@ def _run_decompose(args: argparse.Namespace) -> str:
 def _run_extremal(args: argparse.Namespace) -> str:
     mu = as_rational(args.mu)
     if args.kind == "continuous":
+        if args.as_float:
+            raise ValidationError("--float applies only to --kind discrete")
         if args.epsilon is None:
             raise ValidationError("--epsilon is required for the continuous construction")
         try:
@@ -231,39 +240,24 @@ def _run_verify(args: argparse.Namespace) -> str:
 
 
 def _run_sweep(args: argparse.Namespace) -> str:
-    pmf = _load_pmf(args)
     # A threshold below 1 has no bound, so it gets no row.
-    a_values = [a for a in _parse_int_range(args.a) if a >= 1]
-    mode = TailMode(args.mode)
+    _, _, table = _tail_rows(args, lambda: [a for a in _parse_int_range(args.a) if a >= 1])
     exact = not args.as_float
-    # One pass each for the shape, the moments and every tail; the loop
-    # below only looks values up.
-    terms = _pmf_terms(pmf, mode)
-    mu = terms.mean if mode is TailMode.TWO_SIDED else None
-    tails = _threshold_tails(pmf, a_values, mu)
-    records = []
-    for a, exact_tail in zip(a_values, tails):
-        for r in _bounds_at(terms, a):
-            ratio = r.value / exact_tail if exact_tail > 0 else None
-            records.append((a, exact_tail, r.formula.value, r.value, ratio))
+    rows = [
+        {
+            "a": a,
+            "exact_tail": _render_rational(t, exact),
+            "formula": r.formula.value,
+            "bound": _render_rational(r.value, exact),
+            "ratio": _render_rational(r.value / t, exact) if t > 0 else None,
+        }
+        for a, t, results in table
+        for r in results
+    ]
     if args.format == "json":
-        payload = [
-            {
-                "a": a,
-                "exact_tail": _render_rational(t, exact),
-                "formula": f,
-                "bound": _render_rational(v, exact),
-                "ratio": None if ratio is None else _render_rational(ratio, exact),
-            }
-            for a, t, f, v, ratio in records
-        ]
-        return json.dumps(payload, indent=2)
+        return json.dumps(rows, indent=2)
     lines = ["a,exact_tail,formula,bound,ratio"]
-    for a, t, f, v, ratio in records:
-        r_txt = "" if ratio is None else _render_rational(ratio, exact)
-        lines.append(
-            f"{a},{_render_rational(t, exact)},{f},{_render_rational(v, exact)},{r_txt}"
-        )
+    lines.extend(",".join("" if v is None else str(v) for v in row.values()) for row in rows)
     return "\n".join(lines)
 
 
@@ -327,23 +321,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_negative_ranges(argv: Sequence[str]) -> list[str]:
-    """``--a -1..7`` as ``--a=-1..7``.
+# The options that take a value, each of which may start with ``-``.
+_VALUE_OPTIONS = frozenset("--a --epsilon --format --input --kind --mode --mu --N --pmf".split())
+
+
+def _join_option_values(argv: Sequence[str]) -> list[str]:
+    """``--opt -X`` as ``--opt=-X`` after each option that takes a value.
 
     argparse reads a lone token that starts with ``-`` and is not a plain
-    negative number, such as the range ``-1..7``, as an option.
+    negative number, such as ``-1/2`` or the range ``-1..7``, as an option.
     """
     joined: list[str] = []
     for token in argv:
-        if joined and joined[-1] == "--a" and re.match(r"-\d", token):
-            joined[-1] = f"--a={token}"
+        if joined and joined[-1] in _VALUE_OPTIONS and re.match(r"-[^-]", token):
+            joined[-1] = f"{joined[-1]}={token}"
         else:
             joined.append(token)
     return joined
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(_join_negative_ranges(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(_join_option_values(sys.argv[1:] if argv is None else argv))
     try:
         output = args.run(args)
     except TailBoundsError as exc:

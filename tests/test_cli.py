@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -19,6 +20,9 @@ import tailbounds.bounds
 import tailbounds.cli
 import tailbounds.dist_core
 from tailbounds.cli import _parse_int_range, main, parse_pmf_literal
+
+
+MODES = ("one-sided", "two-sided")
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +197,13 @@ class TestExtremalCommand:
             capsys, "extremal", "--a", "3", "--mu", "3/4", "--epsilon", "0.1"
         ) == (3, "", "error: --epsilon applies only to --kind continuous\n")
 
+    def test_continuous_rejects_float(self, capsys):
+        # The continuous construction's results are floats already.
+        assert run_cli(
+            capsys, "extremal", "--kind", "continuous", "--a", "3", "--mu", "0.75",
+            "--epsilon", "0.5", "--float",
+        ) == (3, "", "error: --float applies only to --kind discrete\n")
+
     def test_continuous_mean_too_large_for_float(self, capsys):
         code, out, err = run_cli(
             capsys, "extremal", "--kind", "continuous", "--a", "1", "--mu", "1e400",
@@ -266,40 +277,92 @@ class TestSweepCommand:
         payload = json.loads(out)
         assert all(row["ratio"] is None for row in payload)
 
-    @pytest.mark.parametrize("mode", ["one-sided", "two-sided"])
-    def test_shape_and_mean_computed_once_per_pmf(self, capsys, monkeypatch, mode):
-        calls = {"shape": 0, "mean": 0}
+    @pytest.mark.parametrize("argv", [
+        *(pytest.param(["sweep", "--a", "1..8", "--mode", mode], id=mode) for mode in MODES),
+        *(pytest.param(["bound", "--a", "2", "--mode", mode, "--format", fmt],
+                       id=f"bound-{fmt}-{mode}")
+          for fmt in ("json", "csv", "plain") for mode in MODES),
+    ])
+    def test_shape_and_mean_computed_once_per_pmf(self, capsys, monkeypatch, argv):
+        # bound and sweep share one table: one shape, one mean and one tail
+        # pass per request, whatever the number of thresholds.
+        calls = {"shape": 0, "mean": 0, "_threshold_tails": 0}
         for name in calls:
             original = getattr(tailbounds.dist_core, name)
 
-            def counted(p, _name=name, _original=original):
+            def counted(*args, _name=name, _original=original):
                 calls[_name] += 1
-                return _original(p)
+                return _original(*args)
 
             for module in (tailbounds.dist_core, tailbounds.bounds, tailbounds.cli):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted)
-        code, _, _ = run_cli(
-            capsys, "sweep", "--pmf", "weights:0;4,3,3,2,1", "--a", "1..8", "--mode", mode,
-        )
+        code, _, _ = run_cli(capsys, argv[0], "--pmf", "weights:0;4,3,3,2,1", *argv[1:])
         assert code == 0
-        assert calls == {"shape": 1, "mean": 1}
+        assert calls == {"shape": 1, "mean": 1, "_threshold_tails": 1}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["sweep", "--pmf", "uniform:0..5", "--format", "csv"],
-        ["verify", "--mu", "1/2", "--N", "10"],
-    ],
-    ids=["sweep", "verify"],
+@settings(max_examples=200, deadline=None)
+@given(
+    offset=st.integers(-5, 5),
+    weights=st.lists(st.integers(0, 9), min_size=1, max_size=12).filter(any),
+    a=st.integers(1, 8),
+    mode=st.sampled_from(MODES),
+    as_float=st.booleans(),
 )
-@pytest.mark.parametrize("a", ["-1..7", "-3", "-2..x"])
-def test_range_after_a_reads_like_a_joined_range(capsys, argv, a):
-    # argparse reads a lone "-1..7" as an option, so "--a -1..7" is joined.
-    spaced = run_cli(capsys, *argv, "--a", a)
-    assert spaced == run_cli(capsys, *argv, f"--a={a}")
-    assert spaced[0] in (0, 3)
+def test_bound_is_the_one_threshold_sweep(offset, weights, a, mode, as_float):
+    common = ["--pmf", f"weights:{offset};{','.join(map(str, weights))}", "--mode", mode,
+              "--format", "json", *(["--float"] if as_float else [])]
+    code, out, err = run_main(["bound", *common, "--a", str(a)])
+    assert (code, err) == (0, "")
+    bound = json.loads(out)
+    code, out, err = run_main(["sweep", *common, "--a", f"{a}..{a}"])
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    assert [(r["a"], r["exact_tail"], r["formula"], r["bound"]) for r in rows] == [
+        (a, bound["exact_tail"], b["formula"], b["value"]) for b in bound["bounds"]
+    ]
+
+
+SWEEP_CSV = ["sweep", "--pmf", "uniform:0..5", "--format", "csv"]
+VERIFY_HALF = ["verify", "--mu", "1/2", "--N", "10"]
+CONTINUOUS = ["extremal", "--kind", "continuous", "--a", "3", "--mu", "0.75"]
+
+
+@pytest.mark.parametrize("spaced, same_as, code", [
+    *(pytest.param([*argv, "--a", a], [*argv, f"--a={a}"], code, id=f"{a}-{name}")
+      for a, sweep_code in (("-1..7", 0), ("-3", 0), ("-2..x", 3))
+      for name, argv, code in (("sweep", SWEEP_CSV, sweep_code), ("verify", VERIFY_HALF, 3))),
+    pytest.param(["verify", "--a", "1", "--mu", "-1/2", "--N", "10"],
+                 ["verify", "--a", "1", "--mu=-1/2", "--N", "10"], 0, id="verify-mu"),
+    pytest.param(["extremal", "--a", "1", "--mu", "-1/2"], ["extremal", "--a", "1", "--mu=-1/2"],
+                 3, id="extremal-mu"),
+    pytest.param([*CONTINUOUS, "--epsilon", "-1e-3"], [*CONTINUOUS, "--epsilon=-1e-3"], 3,
+                 id="continuous-epsilon"),
+    # A flag takes no value, so the token after it is left alone.
+    pytest.param(["--version", "-1"], ["--version"], 0, id="version"),
+    pytest.param(["bound", "--pmf", "point:0", "--float", "-1", "--a", "1"],
+                 ["bound", "--pmf", "point:0", "--float", "--a", "1", "-1"], 2, id="float"),
+])
+def test_range_after_a_reads_like_a_joined_range(spaced, same_as, code):
+    # argparse reads a lone "-1..7" or "-1/2" as an option, so the token
+    # after an option that takes a value is joined to it: "--a=-1..7".
+    result = run_main(spaced)
+    assert result == run_main(same_as)
+    assert result[0] == code
+
+
+def test_value_options_are_the_parsers():
+    # The options whose next token is joined are exactly those that take a value.
+    def value_options(parser):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for sub in action.choices.values():
+                    yield from value_options(sub)
+            elif action.nargs != 0:
+                yield from action.option_strings
+
+    assert set(value_options(tailbounds.cli.build_parser())) == tailbounds.cli._VALUE_OPTIONS
 
 
 class TestRangeCap:
@@ -527,25 +590,29 @@ def cli_argvs(draw):
     def choice(flag, values):
         return optional(flag, draw(st.sampled_from(values)))
 
+    def spaced_or_joined(flag, value):
+        # "--a -3..5" and "--a=-3..5" are read alike.
+        return [flag, value] if draw(st.booleans()) else [f"{flag}={value}"]
+
     command = draw(st.sampled_from(["bound", "decompose", "extremal", "verify", "sweep"]))
     pmf = ["--pmf", draw(PMF_TEXT)]
     mode = choice("--mode", ["one-sided", "two-sided"])
-    # "--mu=-1/2": on its own argparse reads it as an option.  A range is
-    # drawn both ways, "--a -3..5" and "--a=-3..5".
-    a_range = draw(RANGE_TEXT)
-    a_range = ["--a", a_range] if draw(st.booleans()) else [f"--a={a_range}"]
+    a_range = spaced_or_joined("--a", draw(RANGE_TEXT))
     if command == "bound":
-        argv = [*pmf, f"--a={draw(INT_TEXT)}", *mode, *choice("--format", ["json", "csv", "plain"]),
-                *optional("--float")]
+        argv = [*pmf, *spaced_or_joined("--a", draw(INT_TEXT)), *mode,
+                *choice("--format", ["json", "csv", "plain"]), *optional("--float")]
     elif command == "decompose":
         argv = [*pmf, *choice("--kind", ["uniform", "interval"])]
     elif command == "extremal":
-        argv = [f"--a={draw(INT_TEXT)}", f"--mu={draw(RATIONAL_TEXT)}",
+        epsilon = draw(st.sampled_from(["0.1", "0.5", "1", "0", "-1", "-1e-3", "2"]))
+        argv = [*spaced_or_joined("--a", draw(INT_TEXT)),
+                *spaced_or_joined("--mu", draw(RATIONAL_TEXT)),
                 *choice("--kind", ["discrete", "continuous"]),
-                *choice("--epsilon", ["0.1", "0.5", "1", "0", "-1", "2"]), *optional("--float")]
+                *(spaced_or_joined("--epsilon", epsilon) if draw(st.booleans()) else []),
+                *optional("--float")]
     elif command == "verify":
         mus = draw(st.lists(RATIONAL_TEXT, min_size=1, max_size=3))
-        argv = [*a_range, f"--mu={','.join(mus)}",
+        argv = [*a_range, *spaced_or_joined("--mu", ",".join(mus)),
                 "--N", str(draw(st.integers(-2, 60))), *choice("--format", ["json", "csv"])]
     else:
         argv = [*pmf, *a_range, *mode, *choice("--format", ["json", "csv"]),

@@ -80,6 +80,10 @@ MUTANTS = [
            "if a > 0 else Fraction(1)", "if a >= 0 else Fraction(1)", DIST_CORE),
     Mutant("shape decreasing run strict", "dist_core.py",
            "w[dec_start - 1] >= w[dec_start]", "w[dec_start - 1] > w[dec_start]", DIST_CORE),
+    # The CLI's one bound table, behind both bound and sweep.
+    Mutant("tail about the mean one-sided", "cli.py",
+           "centre = terms.mean if terms.mode is TailMode.TWO_SIDED else None",
+           "centre = terms.mean if terms.mode is TailMode.ONE_SIDED_UPPER else None", DIST_CORE),
     # The one level-set walk behind both decompositions. A pointer that
     # stops on an end weight equal to the level loops forever.
     Mutant("level walk l pointer < for <=", "decompose.py",

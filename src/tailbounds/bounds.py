@@ -9,18 +9,17 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Union
 
 from ._record import Record, replace
 from .dist_core import (
     Pmf,
     RationalLike,
     ShapeReport,
+    _moments,
     _render_rational,
-    _variance_about,
     as_rational,
     check_int,
-    mean,
     shape,
 )
 from .errors import ValidationError
@@ -153,37 +152,24 @@ def chebyshev_continuous_unimodal(var: float, a: float) -> BoundResult:
 
 
 class _PmfTerms(Record):
-    """What the bounds need from one pmf, whatever the threshold.
+    """What the bounds need from one pmf, whatever the threshold and the tail mode."""
 
-    ``mean`` is always set; ``abs_mean`` is set one-sided, ``variance``
-    two-sided.
-    """
-
-    mode: TailMode
     report: ShapeReport
     mean: Fraction
-    abs_mean: Optional[Fraction] = None
-    variance: Optional[Fraction] = None
+    abs_mean: Fraction
+    variance: Fraction
 
 
-def _pmf_terms(p: Pmf, mode: TailMode) -> _PmfTerms:
-    """Per-pmf step of :func:`best_bound`: the shape, E[X] and the moment ``mode`` needs."""
-    report = shape(p)
-    mu = mean(p)
-    if mode is TailMode.ONE_SIDED_UPPER:
-        # E|X| = E[X] - 2 E[X; X < 0], so only the atoms below 0 are read again.
-        below = sum((w * k for k, w in zip(range(p.offset, 0), p.weights)), Fraction(0))
-        return _PmfTerms(mode, report, mu, abs_mean=mu - 2 * below)
-    if mode is TailMode.TWO_SIDED:
-        return _PmfTerms(mode, report, mu, variance=_variance_about(p, mu))
-    raise ValidationError(f"unknown tail mode: {mode!r}")
+def _pmf_terms(p: Pmf) -> _PmfTerms:
+    """Per-pmf step of :func:`best_bound`: one :func:`shape` and one :func:`_moments` pass."""
+    return _PmfTerms(shape(p), *_moments(p))
 
 
-def _bounds_at(terms: _PmfTerms, a: int) -> list[BoundResult]:
-    """Per-threshold step of :func:`best_bound`: every applicable bound at ``a``, ascending."""
+def _bounds_at(terms: _PmfTerms, a: int, mode: TailMode) -> list[BoundResult]:
+    """Per-threshold step of :func:`best_bound`: every bound for ``mode`` at ``a``, ascending."""
     check_int(a, "threshold a", 1)
     report = terms.report
-    if terms.mode is TailMode.ONE_SIDED_UPPER:
+    if mode is TailMode.ONE_SIDED_UPPER:
         r = markov_classical(terms.abs_mean, a)
         results = [replace(r, verified=r.verified + ("E|X| computed exactly",))]
         if report.is_decreasing:
@@ -191,13 +177,15 @@ def _bounds_at(terms: _PmfTerms, a: int) -> list[BoundResult]:
             results.append(
                 replace(r, verified=r.verified + ("pmf decreasing on {0,1,...} (verified)",))
             )
-    else:
+    elif mode is TailMode.TWO_SIDED:
         results = [chebyshev_classical(terms.variance, a)]
         if report.is_unimodal:
             r = chebyshev_unimodal(terms.variance, a)
             results.append(
                 replace(r, verified=r.verified + (f"pmf unimodal with mode {report.mode} (verified)",))
             )
+    else:
+        raise ValidationError(f"unknown tail mode: {mode!r}")
     results.sort(key=lambda r: r.value)
     return results
 
@@ -215,4 +203,4 @@ def best_bound(p: Pmf, a: int, mode: TailMode = TailMode.ONE_SIDED_UPPER) -> lis
     pmf is read, so a bad threshold is reported ahead of a bad mode.
     """
     check_int(a, "threshold a", 1)
-    return _bounds_at(_pmf_terms(p, mode), a)
+    return _bounds_at(_pmf_terms(p), a, mode)

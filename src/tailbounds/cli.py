@@ -14,7 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import __version__
 from .bounds import BoundResult, TailMode, _bounds_at, _pmf_terms, _PmfTerms
@@ -26,7 +26,6 @@ from .dist_core import (
     Pmf,
     _render_rational,
     _threshold_tails,
-    _variance_about,
     as_rational,
     make_pmf,
     point_pmf,
@@ -153,32 +152,30 @@ def _clamped(value: Union[Fraction, float]) -> str:
 
 
 def _tail_rows(
-    args: argparse.Namespace, read_thresholds: Callable[[], list[int]]
-) -> tuple[Pmf, _PmfTerms, list[tuple[int, Fraction, list[BoundResult]]]]:
-    """The pmf, its terms and one ``(a, exact tail, bounds)`` row per threshold.
+    pmf: Pmf, thresholds: list[int], mode: TailMode
+) -> tuple[_PmfTerms, list[tuple[int, Fraction, list[BoundResult]]]]:
+    """The pmf's terms and one ``(a, exact tail, bounds)`` row per threshold.
 
     The CLI's one bound table: shape, moments and tails are computed once
-    per pmf.  The thresholds are read after the pmf, whose errors come first.
+    per pmf, whatever the number of thresholds and the tail ``mode``.
     """
-    pmf = _load_pmf(args)
-    thresholds = read_thresholds()
-    terms = _pmf_terms(pmf, TailMode(args.mode))
-    centre = terms.mean if terms.mode is TailMode.TWO_SIDED else None
+    terms = _pmf_terms(pmf)
+    centre = terms.mean if mode is TailMode.TWO_SIDED else None
     tails = _threshold_tails(pmf, thresholds, centre)
-    return pmf, terms, [(a, t, _bounds_at(terms, a)) for a, t in zip(thresholds, tails)]
+    return terms, [(a, t, _bounds_at(terms, a, mode)) for a, t in zip(thresholds, tails)]
 
 
 def _run_bound(args: argparse.Namespace) -> str:
-    pmf, terms, [(a, exact_tail, results)] = _tail_rows(args, lambda: [args.a])
+    mode = TailMode(args.mode)
+    terms, [(a, exact_tail, results)] = _tail_rows(_load_pmf(args), [args.a], mode)
     exact = not args.as_float
     if args.format == "json":
-        var = _variance_about(pmf, terms.mean) if terms.variance is None else terms.variance
         payload = {
             "a": a,
-            "mode": terms.mode.value,
+            "mode": mode.value,
             "exact_tail": _render_rational(exact_tail, exact),
             "mean": _render_rational(terms.mean, exact),
-            "variance": _render_rational(var, exact),
+            "variance": _render_rational(terms.variance, exact),
             "bounds": [r.to_dict(exact) for r in results],
         }
         return json.dumps(payload, indent=2)
@@ -186,7 +183,7 @@ def _run_bound(args: argparse.Namespace) -> str:
         lines = ["formula,value", f"ExactTail,{_render_rational(exact_tail, exact)}"]
         lines.extend(f"{r.formula.value},{_render_rational(r.value, exact)}" for r in results)
         return "\n".join(lines)
-    one_sided = terms.mode is TailMode.ONE_SIDED_UPPER
+    one_sided = mode is TailMode.ONE_SIDED_UPPER
     tail_label = f"P(X >= {a})" if one_sided else f"P(|X - E[X]| >= {a})"
     lines = [f"exact tail {tail_label} = {exact_tail}"]
     width = max(len(r.formula.value) for r in results)
@@ -240,8 +237,9 @@ def _run_verify(args: argparse.Namespace) -> str:
 
 
 def _run_sweep(args: argparse.Namespace) -> str:
-    # A threshold below 1 has no bound, so it gets no row.
-    _, _, table = _tail_rows(args, lambda: [a for a in _parse_int_range(args.a) if a >= 1])
+    # No row below a = 1, which has no bound. The range is capped before the pmf is built.
+    thresholds = [a for a in _parse_int_range(args.a) if a >= 1]
+    _, table = _tail_rows(_load_pmf(args), thresholds, TailMode(args.mode))
     exact = not args.as_float
     rows = [
         {

@@ -70,8 +70,11 @@ def _render_rational(value: Union[Fraction, float], exact: bool) -> Union[str, f
 
     Float results (the continuous formulas) pass through unchanged.
     """
-    if isinstance(value, Fraction):
-        return str(value) if exact else float(value)
+    try:
+        if isinstance(value, Fraction):
+            return str(value) if exact else float(value)
+    except OverflowError as exc:
+        raise ValidationError("a result is too large for a float") from exc
     return value
 
 
@@ -194,13 +197,20 @@ def mean(p: Pmf) -> Fraction:
 
 
 def variance(p: Pmf) -> Fraction:
-    """Exact second central moment."""
-    return _variance_about(p, mean(p))
+    """Exact second central moment, the third value of :func:`_moments`."""
+    return _moments(p)[2]
 
 
-def _variance_about(p: Pmf, mu: Fraction) -> Fraction:
-    """Exact E[(X - mu)^2]; the variance when ``mu`` is the mean."""
-    return sum((w * (k - mu) ** 2 for k, w in p.items()), Fraction(0))
+def _moments(p: Pmf) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact E[X], E|X| = E[X] - 2 E[X; X < 0] and V(X) = E[X^2] - E[X]^2, in one pass."""
+    m1 = m2 = below = Fraction(0)
+    for k, w in p.items():
+        wk = w * k
+        m1 += wk
+        m2 += wk * k
+        if k < 0:
+            below += wk
+    return m1, m1 - 2 * below, m2 - m1 * m1
 
 
 def tail(p: Pmf, a: int) -> Fraction:

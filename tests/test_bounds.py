@@ -156,13 +156,13 @@ class TestBestBound:
         rng = random.Random(103)
         for _ in range(200):
             p = make_pmf(rng.randint(-5, 5), [rng.randint(0, 9) for _ in range(8)] + [1])
-            one = _pmf_terms(p, TailMode.ONE_SIDED_UPPER)
-            two = _pmf_terms(p, TailMode.TWO_SIDED)
-            assert one.mean == two.mean == mean(p)
-            assert one.abs_mean == sum((w * abs(k) for k, w in p.items()), F(0))
-            assert two.variance == variance(p)
+            terms = _pmf_terms(p)
+            assert terms.mean == mean(p)
+            assert terms.abs_mean == sum((w * abs(k) for k, w in p.items()), F(0))
+            assert terms.variance == variance(p)
             for a in range(1, 6):
-                assert _bounds_at(one, a) == best_bound(p, a, TailMode.ONE_SIDED_UPPER)
+                for mode in TailMode:
+                    assert _bounds_at(terms, a, mode) == best_bound(p, a, mode)
 
 
 class TestSoundness:

@@ -23,6 +23,12 @@ from tailbounds.cli import _parse_int_range, main, parse_pmf_literal
 
 
 MODES = ("one-sided", "two-sided")
+# Exact results past a float's range: a two-sided sweep ratio of about
+# 10**4700, and a mean of 10**400.
+FLOAT_OVERFLOW = [
+    ["sweep", "--pmf", "weights:0;1,1e-300,0,0,0,0,1e-5000", "--a", "5", "--mode", "two-sided"],
+    ["bound", "--pmf", f"weights:1{'0' * 400};1", "--a", "1"],
+]
 
 
 def run_cli(capsys, *argv):
@@ -284,9 +290,9 @@ class TestSweepCommand:
           for fmt in ("json", "csv", "plain") for mode in MODES),
     ])
     def test_shape_and_mean_computed_once_per_pmf(self, capsys, monkeypatch, argv):
-        # bound and sweep share one table: one shape, one mean and one tail
+        # bound and sweep share one table: one shape, one moment and one tail
         # pass per request, whatever the number of thresholds.
-        calls = {"shape": 0, "mean": 0, "_threshold_tails": 0}
+        calls = {"shape": 0, "_moments": 0, "_threshold_tails": 0}
         for name in calls:
             original = getattr(tailbounds.dist_core, name)
 
@@ -299,7 +305,7 @@ class TestSweepCommand:
                     monkeypatch.setattr(module, name, counted)
         code, _, _ = run_cli(capsys, argv[0], "--pmf", "weights:0;4,3,3,2,1", *argv[1:])
         assert code == 0
-        assert calls == {"shape": 1, "mean": 1, "_threshold_tails": 1}
+        assert calls == {"shape": 1, "_moments": 1, "_threshold_tails": 1}
 
 
 @settings(max_examples=200, deadline=None)
@@ -381,6 +387,15 @@ class TestRangeCap:
     def test_ten_thousand_and_one_values_exit_3(self, capsys, argv):
         assert run_cli(capsys, *argv) == (
             3, "", "error: range '1..10001' has 10001 values; at most 10000 are allowed\n",
+        )
+
+    def test_sweep_range_capped_before_the_pmf_is_built(self, capsys, monkeypatch):
+        def refuse(args):
+            raise AssertionError("pmf built before the range cap was checked")
+
+        monkeypatch.setattr(tailbounds.cli, "_load_pmf", refuse)
+        assert run_cli(capsys, "sweep", "--pmf", "uniform:0..99999", "--a", "1..20000") == (
+            3, "", "error: range '1..20000' has 20000 values; at most 10000 are allowed\n",
         )
 
 
@@ -529,6 +544,18 @@ class TestFloatOption:
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, exact_err", [
+        (FLOAT_OVERFLOW[0], TestDigitLimit.TOO_LONG), (FLOAT_OVERFLOW[1], ""),
+    ], ids=["sweep-ratio", "bound-mean"])
+    def test_result_past_the_float_range_exits_3(self, capsys, argv, exact_err):
+        assert run_cli(capsys, *argv, "--float") == (
+            3, "", "error: a result is too large for a float\n"
+        )
+        # Exact output is as before: the bound prints its mean of 10**400, and
+        # the sweep's ratio has more digits than Python's int<->str limit.
+        code, _, err = run_cli(capsys, *argv)
+        assert (code, err) == (3 if exact_err else 0, exact_err)
+
 
 # stdout, stderr and exit code of one invocation per subcommand, format,
 # tail mode and --float setting, plus an exit-3 and an exit-4 error, and
@@ -651,6 +678,8 @@ BIG = "1" * 4301
 @example(["verify", "--a", "1", "--mu", "1e1__0", "--N", "10"])
 @example(["bound", "--pmf", "weights:0;1e5_,1", "--a", "1"])
 @example(["bound", "--pmf", "weights:0;1,1e-1000000", "--a", "1"])
+@example([*FLOAT_OVERFLOW[0], "--float"])
+@example([*FLOAT_OVERFLOW[1], "--float"])
 def test_any_argv_gives_a_result_or_one_error_line(argv):
     code, out, err = run_main(argv)
     assert code in {0, 2, 3, 4}

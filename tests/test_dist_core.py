@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tailbounds import (
     IntervalMixture,
@@ -31,8 +31,9 @@ from tailbounds import (
     verify_tightness_theorem2,
 )
 import tailbounds.dist_core
-from tailbounds.dist_core import _threshold_tails
+from tailbounds.dist_core import _moments, _threshold_tails
 
+from reference_moments import reference_abs_mean, reference_variance_about
 from reference_tails import reference_tail, reference_threshold_tails, reference_two_sided_tail
 
 
@@ -43,6 +44,27 @@ def pmfs(st_draw, max_size=12, offset_range=(-5, 5)):
         st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(lambda w: any(w))
     )
     return make_pmf(st_draw(st.integers(*offset_range)), ws)
+
+
+@st.composite
+def moment_cases(st_draw):
+    """A pmf at offset -20..20 whose support is one point, lies below 0,
+    straddles 0 or lies anywhere; or one of 950-1050 points with weights
+    up to 10**6."""
+    where = st_draw(st.sampled_from(["point", "negative", "straddle", "anywhere", "long"]))
+    if where == "long":
+        rng = random.Random(st_draw(st.integers(0, 2**32)))
+        weights = [rng.randint(0, 10**6) for _ in range(rng.randint(950, 1050))]
+        return make_pmf(rng.randint(-20, 20), [1, *weights, 1])
+    if where == "point":
+        return point_pmf(st_draw(st.integers(-20, 20)))
+    # Nonzero end weights, so the support is exactly offset..offset + n - 1.
+    ends = st.integers(1, 9)
+    ws = [st_draw(ends), *st_draw(st.lists(st.integers(0, 9), min_size=1, max_size=10)),
+          st_draw(ends)]
+    n = len(ws)
+    lo, hi = {"negative": (-20, -n), "straddle": (2 - n, -1), "anywhere": (-20, 20)}[where]
+    return make_pmf(st_draw(st.integers(lo, hi)), ws)
 
 
 @st.composite
@@ -223,6 +245,14 @@ class TestMoments:
         mu = sum(F(k) for k in range(n + 1)) / (n + 1)
         brute = sum((F(k) - mu) ** 2 for k in range(n + 1)) / (n + 1)
         assert variance(p) == brute == F(n * (n + 2), 12)
+
+    @settings(deadline=None)
+    @given(moment_cases())
+    def test_one_pass_matches_the_reference_moments(self, p):
+        mu = mean(p)
+        abs_mean = sum((w * abs(k) for k, w in p.items()), F(0))
+        assert reference_abs_mean(p, mu) == abs_mean
+        assert _moments(p) == (mu, abs_mean, reference_variance_about(p, mu))
 
 
 class TestTails:

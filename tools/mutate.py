@@ -80,10 +80,18 @@ MUTANTS = [
            "if a > 0 else Fraction(1)", "if a >= 0 else Fraction(1)", DIST_CORE),
     Mutant("shape decreasing run strict", "dist_core.py",
            "w[dec_start - 1] >= w[dec_start]", "w[dec_start - 1] > w[dec_start]", DIST_CORE),
+    # dist_core's one moment pass. The atoms at 0 add nothing to E[X; X < 0],
+    # so "k <= 0" for "k < 0" would be an equivalent mutant.
+    Mutant("E|X| without the factor 2", "dist_core.py",
+           "m1 - 2 * below", "m1 - below", DIST_CORE),
+    Mutant("E[X^2] for V(X)", "dist_core.py",
+           "m2 - m1 * m1", "m2", DIST_CORE),
+    Mutant("E|X| from the atoms above 0", "dist_core.py",
+           "if k < 0:", "if k > 0:", DIST_CORE),
     # The CLI's one bound table, behind both bound and sweep.
     Mutant("tail about the mean one-sided", "cli.py",
-           "centre = terms.mean if terms.mode is TailMode.TWO_SIDED else None",
-           "centre = terms.mean if terms.mode is TailMode.ONE_SIDED_UPPER else None", DIST_CORE),
+           "centre = terms.mean if mode is TailMode.TWO_SIDED else None",
+           "centre = terms.mean if mode is TailMode.ONE_SIDED_UPPER else None", DIST_CORE),
     # The one level-set walk behind both decompositions. A pointer that
     # stops on an end weight equal to the level loops forever.
     Mutant("level walk l pointer < for <=", "decompose.py",

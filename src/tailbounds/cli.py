@@ -42,13 +42,19 @@ from .extremal import (
 
 # Most thresholds one ``--a lo..hi`` range may hold.
 _MAX_RANGE_VALUES = 10_000
-# Most points a ``uniform:l..r`` literal may span, and the largest
-# ``verify --N``: both are allocated in full, one weight or one oracle
+# Most points a ``uniform:l..r`` literal may span, most weights a
+# ``weights:`` literal or ``--input`` file may hold, and the largest
+# ``verify --N``: each is allocated in full, one weight or one oracle
 # column per point.
 _MAX_POINTS = 100_000
 # Most oracle columns one ``verify`` run may check: each (a, mu) cell of
 # the grid runs one oracle over N + 1 columns.
 _MAX_VERIFY_COLUMNS = 10_000_000
+
+
+def _check_points(source: str, count: int) -> None:
+    if count > _MAX_POINTS:
+        raise ValidationError(f"{source}: {count} points; at most {_MAX_POINTS} are allowed")
 
 
 def parse_pmf_literal(text: str) -> Pmf:
@@ -71,10 +77,7 @@ def parse_pmf_literal(text: str) -> Pmf:
         lo, hi = int(m.group(1)), int(m.group(2))
         if lo > hi:
             raise ValidationError(f"pmf literal {text!r}: empty range {lo}..{hi}")
-        if hi - lo + 1 > _MAX_POINTS:
-            raise ValidationError(
-                f"pmf literal {text!r}: {hi - lo + 1} points; at most {_MAX_POINTS} are allowed"
-            )
+        _check_points(f"pmf literal {text!r}", hi - lo + 1)
         return uniform_pmf(lo, hi)
     if kind == "point":
         m = re.fullmatch(r"-?\d+", body)
@@ -93,9 +96,11 @@ def parse_pmf_literal(text: str) -> Pmf:
             raise ValidationError(
                 f"pmf literal {text!r}: offset must be an integer at position {pos}"
             )
+        tokens = weights_text.split(",")
+        _check_points(f"pmf literal {text!r}", len(tokens))
         weights = []
         cursor = pos + len(offset_text) + 1
-        for token in weights_text.split(","):
+        for token in tokens:
             try:
                 weights.append(as_rational(token.strip()))
             except ValidationError as exc:
@@ -116,12 +121,16 @@ def _load_pmf(args: argparse.Namespace) -> Pmf:
     if args.pmf is not None:
         return parse_pmf_literal(args.pmf)
     try:
-        with open(args.input) as fh:
+        with open(args.input, encoding="utf-8") as fh:
             obj = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {args.input}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"{args.input} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{args.input} nests too deeply to read: {exc}") from exc
+    if isinstance(obj, dict) and isinstance(obj.get("weights"), list):
+        _check_points(args.input, len(obj["weights"]))
     return Pmf.from_dict(obj)
 
 

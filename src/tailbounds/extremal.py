@@ -258,6 +258,16 @@ def _basis_inverse(A: Sequence[Column], basis: Sequence[int]) -> tuple[list[Colu
     return adj, det
 
 
+def _entering(
+    A: Sequence[Column], cost: Sequence[int], det: int, y0: int, y1: int, y2: int
+) -> Optional[int]:
+    """Bland's entering rule: the lowest column with positive reduced cost, or None."""
+    for j, ((a0, a1, a2), cj) in enumerate(zip(A, cost)):
+        if det * cj > y0 * a0 + y1 * a1 + y2 * a2:
+            return j
+    return None
+
+
 def _run_phase(
     A: Sequence[Column], cost: Sequence[int], artificial_cost: int, b: Column, basis: list[int]
 ) -> tuple[list[Column], int, Column, int]:
@@ -265,24 +275,25 @@ def _run_phase(
 
     Bland's rule: the lowest column with positive reduced cost enters and,
     among rows tied in the ratio test, the lowest basis index leaves
-    (artificials, encoded negative, first).  Artificials never re-enter.
-    Returns the final adjugate, determinant, dual row vector
-    y = c_B adj (so the dual solution is y / det) and the pivot count.
+    (artificials, encoded negative, first).  Artificials never re-enter,
+    and one at zero leaves at ratio 0 on any nonzero entry.  Returns the
+    adjugate, determinant, dual y = c_B adj (dual solution y / det), pivots.
     """
     pivots = 0
     while True:
         adj, det = _basis_inverse(A, basis)
         cb = [cost[j] if j >= 0 else artificial_cost for j in basis]
         y0, y1, y2 = (cb[0] * adj[0][i] + cb[1] * adj[1][i] + cb[2] * adj[2][i] for i in range(3))
-        for j, ((a0, a1, a2), cj) in enumerate(zip(A, cost)):
-            if det * cj > y0 * a0 + y1 * a1 + y2 * a2:
-                break
-        else:
+        j = _entering(A, cost, det, y0, y1, y2)
+        if j is None:
             return adj, det, (y0, y1, y2), pivots
-        d = [r0 * a0 + r1 * a1 + r2 * a2 for r0, r1, r2 in adj]
+        c0, c1, c2 = A[j]
+        d = [r0 * c0 + r1 * c1 + r2 * c2 for r0, r1, r2 in adj]
         x = [_dot(row, b) for row in adj]
         leave = -1
         for i in range(3):
+            if d[i] < 0 and basis[i] < 0 and not x[i]:  # a zero artificial: ratio 0
+                d[i] = -d[i]
             if d[i] > 0 and (
                 leave < 0
                 or x[i] * d[leave] < x[leave] * d[i]
@@ -300,27 +311,15 @@ def _simplex(
 ) -> tuple[Optional[dict[int, int]], Column, int, int]:
     """Maximize obj.u subject to A u = b, u >= 0, for three rows and b >= 0.
 
-    Exact two-phase revised simplex from the artificial basis.  Phase 1
-    minimizes the artificial mass; zero artificials are then driven out of
-    the basis where some column can replace them (a row where none can is
-    redundant, and its artificial stays at zero).  Returns
-    ``(solution, y, det, pivots)``: ``solution`` maps positions in ``A`` to
-    weights scaled by ``det``, or is None when the LP is infeasible; ``y``
-    is the final phase's dual scaled by ``det``, the certificate that
-    :func:`_check_certificate` verifies.
+    Exact two-phase revised simplex; phase 2 starts from phase 1's basis.
+    Returns ``(solution, y, det, pivots)``: ``solution`` maps positions in
+    ``A`` to weights scaled by ``det``, or None when the LP is infeasible;
+    ``y`` is the final dual scaled by ``det``, for :func:`_check_certificate`.
     """
     basis = [~0, ~1, ~2]
-    adj, det, y, pivots = _run_phase(A, [0] * len(A), -1, b, basis)
+    _, det, y, pivots = _run_phase(A, [0] * len(A), -1, b, basis)
     if _dot(y, b) < 0:
         return None, y, det, pivots
-    for i in range(3):
-        if basis[i] < 0:
-            for j, col in enumerate(A):
-                if _dot(adj[i], col):
-                    basis[i] = j
-                    pivots += 1
-                    adj, det = _basis_inverse(A, basis)
-                    break
     adj, det, y, more = _run_phase(A, obj, 0, b, basis)
     solution = {j: _dot(row, b) for j, row in zip(basis, adj) if j >= 0}
     return solution, y, det, pivots + more

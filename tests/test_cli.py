@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import io
 import json
+import tempfile
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -137,6 +138,17 @@ class TestBoundCommand:
         code, out, err = run_cli(capsys, "bound", "--input", str(path), "--a", "1")
         assert code == 3 and out == ""
         assert err == "error: pmf 'weights' must be an array of weights\n"
+
+    @pytest.mark.parametrize("content, reason", [
+        (b"\xff\xfe{}", "is not valid JSON: 'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000 + b"]" * 100_000, "nests too deeply to read: maximum recursion depth"),
+    ], ids=["not-utf-8", "deep-nesting"])
+    def test_unreadable_input_exits_3_naming_the_file(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "pmf.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "bound", "--input", str(path), "--a", "1")
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {path} {reason}")
 
     def test_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "bound", "--a", "9")
@@ -423,6 +435,8 @@ class TestPointCap:
             raise AssertionError("built before the cap was checked")
 
         monkeypatch.setattr(tailbounds.cli, "uniform_pmf", refuse)
+        monkeypatch.setattr(tailbounds.cli, "make_pmf", refuse)
+        monkeypatch.setattr(tailbounds.dist_core, "make_pmf", refuse)
         monkeypatch.setattr(tailbounds.cli, "verify_tightness_theorem2", refuse)
 
     @pytest.mark.parametrize(
@@ -430,10 +444,12 @@ class TestPointCap:
         [
             (["bound", "--pmf", "uniform:0..20", "--a", "1"],
              "pmf literal 'uniform:0..20': 21 points; at most 20 are allowed"),
+            (["bound", "--pmf", "weights:0;" + ",".join(["1"] * 21), "--a", "1"],
+             f"pmf literal 'weights:0;{','.join(['1'] * 21)}': 21 points; at most 20 are allowed"),
             (["verify", "--a", "1", "--mu", "1/2", "--N", "21"],
              "--N 21 is too large; at most 20 is allowed"),
         ],
-        ids=["uniform", "verify"],
+        ids=["uniform", "weights", "verify"],
     )
     def test_above_the_cap_exits_3_before_building(
         self, capsys, small_cap, nothing_built, argv, message
@@ -444,6 +460,15 @@ class TestPointCap:
         assert tailbounds.cli._MAX_POINTS == 100_000
         code, _, err = run_cli(capsys, "sweep", "--pmf", "uniform:-50000..50000", "--a", "1")
         assert code == 3 and "100001 points; at most 100000 are allowed" in err
+
+    def test_input_file_above_the_cap_exits_3_before_building(
+        self, capsys, tmp_path, nothing_built
+    ):
+        path = tmp_path / "pmf.json"
+        path.write_text(json.dumps({"offset": 0, "weights": ["1/3"] * 100_001}))
+        assert run_cli(capsys, "bound", "--input", str(path), "--a", "1") == (
+            3, "", f"error: {path}: 100001 points; at most 100000 are allowed\n",
+        )
 
 
 class TestDigitLimit:
@@ -683,6 +708,62 @@ BIG = "1" * 4301
 def test_any_argv_gives_a_result_or_one_error_line(argv):
     code, out, err = run_main(argv)
     assert code in {0, 2, 3, 4}
+    assert "Traceback" not in err
+    if code in (3, 4):
+        assert out == "" and err.count("\n") == 1
+
+
+# JSON texts, built from raw tokens so that numbers past the int<->str
+# limit or a float's range can be written: wrong types, missing keys,
+# nesting, huge integers and exponents.
+JSON_TOKEN = st.one_of(
+    st.integers(-5, 20).map(str),
+    st.sampled_from(["null", "true", "false", "0.25", "-0.0", "1e999", "-1e999", "1e-999",
+                     "1E400", "NaN", "Infinity", "9" * 300, BIG, "[]", "{}"]),
+    st.sampled_from(["1/2", "3", "1e5000", "1e-5000", "1e1__0", "x", "", "-1"]).map(json.dumps),
+    st.text(max_size=4).map(json.dumps),
+)
+JSON_TEXT = st.recursive(
+    JSON_TOKEN,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5).map(lambda xs: f"[{','.join(xs)}]"),
+        st.dictionaries(st.sampled_from(['"offset"', '"weights"', '"atoms"', '""']), inner,
+                        max_size=3).map(
+            lambda d: "{" + ",".join(f"{k}:{v}" for k, v in d.items()) + "}"
+        ),
+    ),
+    max_leaves=20,
+)
+PMF_FILE = st.one_of(
+    st.binary(max_size=40),
+    JSON_TEXT.map(str.encode),
+    st.tuples(JSON_TEXT, JSON_TEXT).map(
+        lambda t: f'{{"offset": {t[0]}, "weights": {t[1]}}}'.encode()
+    ),
+    st.tuples(st.integers(-5, 5), st.lists(JSON_TOKEN, min_size=1, max_size=20)).map(
+        lambda t: f'{{"offset": {t[0]}, "weights": [{",".join(t[1])}]}}'.encode()
+    ),
+)
+INPUT_ARGVS = st.sampled_from([
+    ["bound", "--a", "1"],
+    ["bound", "--a", "2", "--mode", "two-sided", "--float"],
+    ["sweep", "--a", "1..5"],
+    ["sweep", "--a", "1..3", "--mode", "two-sided", "--format", "csv"],
+    ["decompose"],
+    ["decompose", "--kind", "interval"],
+])
+
+
+@settings(max_examples=200, deadline=None)
+@given(PMF_FILE, INPUT_ARGVS)
+@example(b"\xff\xfe{}", ["bound", "--a", "1"])
+@example(b"[" * 100_000 + b"]" * 100_000, ["bound", "--a", "1"])
+def test_any_input_file_gives_a_result_or_one_error_line(content, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pmf.json"
+        path.write_bytes(content)
+        code, out, err = run_main([*argv, "--input", str(path)])
+    assert code in {0, 3, 4}
     assert "Traceback" not in err
     if code in (3, 4):
         assert out == "" and err.count("\n") == 1

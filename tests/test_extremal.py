@@ -352,6 +352,17 @@ class TestPivotRule:
         assert _run_phase(A, cost, artificial_cost, (1, 1, 1), basis)[3] == 1
         assert basis == end
 
+    def test_zero_artificial_leaves_on_a_negative_entry(self):
+        # A phase-2 basis holding the artificial of row 0 at zero. Column 2
+        # enters with entry -1 there: the plain ratio test would let row 1
+        # leave and raise the artificial to 1, but it leaves itself, at
+        # ratio 0, and the weights stay (0, 1, 1) on columns 2, 0 and 1.
+        A = [(0, 1, 0), (0, 0, 1), (-1, 1, 0)]
+        basis = [~0, 0, 1]
+        adj, det, _, pivots = _run_phase(A, [0, 0, 1], 0, (0, 1, 1), basis)
+        assert pivots == 1 and basis == [2, 0, 1]
+        assert [F(sum(r * v for r, v in zip(row, (0, 1, 1))), det) for row in adj] == [0, 1, 1]
+
 
 class TestCertificates:
     # Point masses at 0, 1 and 2 in (mass, mean, second moment) rows.

@@ -67,6 +67,8 @@ MUTANTS = [
            "or x[i] * d[leave] > x[leave] * d[i]", EXTREMAL),
     Mutant("pricing starts at column 1", "extremal.py",
            "in enumerate(zip(A, cost)):", "in enumerate(zip(A[1:], cost[1:]), 1):", EXTREMAL),
+    Mutant("zero artificial rule disabled", "extremal.py",
+           "if d[i] < 0 and basis[i] < 0 and not x[i]:", "if False:", EXTREMAL),
     Mutant("certificate skips the value check", "extremal.py",
            "if sum(obj[j] * x for j, x in solution.items()) != yb:", "if False:", EXTREMAL),
     # dist_core's one tail table and shape test.

@@ -120,6 +120,9 @@ def _load_pmf(args: argparse.Namespace) -> Pmf:
         raise ValidationError("exactly one of --pmf or --input is required")
     if args.pmf is not None:
         return parse_pmf_literal(args.pmf)
+    if "\0" in args.input:
+        # open() raises a bare ValueError for it; repr keeps the message one line.
+        raise ValidationError(f"cannot read {args.input!r}: a path cannot hold a NUL character")
     try:
         with open(args.input, encoding="utf-8") as fh:
             obj = json.load(fh)

@@ -1,9 +1,12 @@
 """Exact finite-support distributions on the integers.
 
-Everything in this module is `fractions.Fraction` arithmetic.  Moments,
-tails and shape predicates are computed exactly, so downstream equality
-checks (bound tightness, decomposition roundtrips) are genuine equalities
-rather than tolerance comparisons.
+Everything in this module is exact rational arithmetic.  Weights are
+stored as `fractions.Fraction`; the one moment pass rescales them to
+integer numerators over their common denominator, sums integers and
+returns exact Fractions.  Moments, tails and shape predicates are
+computed exactly, so downstream equality checks (bound tightness,
+decomposition roundtrips) are genuine equalities rather than tolerance
+comparisons.
 """
 from __future__ import annotations
 
@@ -201,16 +204,31 @@ def variance(p: Pmf) -> Fraction:
     return _moments(p)[2]
 
 
+def _common_denominator(p: Pmf) -> tuple[int, list[int]]:
+    """The weights as ``(den, nums)`` with ``weights[i] == nums[i] / den``.
+
+    ``den`` is the lcm of the weights' denominators, so every ``nums[i]`` is an int.
+    """
+    den = math.lcm(*(w.denominator for w in p.weights))
+    return den, [w.numerator * (den // w.denominator) for w in p.weights]
+
+
 def _moments(p: Pmf) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact E[X], E|X| = E[X] - 2 E[X; X < 0] and V(X) = E[X^2] - E[X]^2, in one pass."""
-    m1 = m2 = below = Fraction(0)
-    for k, w in p.items():
-        wk = w * k
-        m1 += wk
-        m2 += wk * k
+    """Exact E[X], E|X| = E[X] - 2 E[X; X < 0] and V(X) = E[X^2] - E[X]^2, in one pass.
+
+    The pass sums integers: m1, m2 and below are den times E[X], E[X^2]
+    and E[X; X < 0], so V(X) = (den m2 - m1^2) / den^2.
+    """
+    den, nums = _common_denominator(p)
+    m1 = m2 = below = 0
+    for k, c in enumerate(nums, p.offset):
+        ck = c * k
+        m1 += ck
+        m2 += ck * k
         if k < 0:
-            below += wk
-    return m1, m1 - 2 * below, m2 - m1 * m1
+            below += ck
+    return (Fraction(m1, den), Fraction(m1 - 2 * below, den),
+            Fraction(den * m2 - m1 * m1, den * den))
 
 
 def tail(p: Pmf, a: int) -> Fraction:

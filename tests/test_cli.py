@@ -150,6 +150,11 @@ class TestBoundCommand:
         assert code == 3 and out == "" and err.count("\n") == 1
         assert err.startswith(f"error: {path} {reason}")
 
+    def test_input_path_with_nul_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "bound", "--input", "a\x00b", "--a", "1")
+        assert code == 3 and out == ""
+        assert err == "error: cannot read 'a\\x00b': a path cannot hold a NUL character\n"
+
     def test_requires_exactly_one_source(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "bound", "--a", "9")
         assert code == 3 and "exactly one" in err

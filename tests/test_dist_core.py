@@ -2,7 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tailbounds import (
     IntervalMixture,
@@ -31,7 +31,7 @@ from tailbounds import (
     verify_tightness_theorem2,
 )
 import tailbounds.dist_core
-from tailbounds.dist_core import _moments, _threshold_tails
+from tailbounds.dist_core import _common_denominator, _moments, _threshold_tails
 
 from reference_moments import reference_abs_mean, reference_variance_about
 from reference_tails import reference_tail, reference_threshold_tails, reference_two_sided_tail
@@ -50,7 +50,8 @@ def pmfs(st_draw, max_size=12, offset_range=(-5, 5)):
 def moment_cases(st_draw):
     """A pmf at offset -20..20 whose support is one point, lies below 0,
     straddles 0 or lies anywhere; or one of 950-1050 points with weights
-    up to 10**6."""
+    up to 10**6.  Half of the supports below, across or anywhere come
+    from the raw constructor, with weights of unrelated denominators."""
     where = st_draw(st.sampled_from(["point", "negative", "straddle", "anywhere", "long"]))
     if where == "long":
         rng = random.Random(st_draw(st.integers(0, 2**32)))
@@ -59,12 +60,21 @@ def moment_cases(st_draw):
     if where == "point":
         return point_pmf(st_draw(st.integers(-20, 20)))
     # Nonzero end weights, so the support is exactly offset..offset + n - 1.
-    ends = st.integers(1, 9)
-    ws = [st_draw(ends), *st_draw(st.lists(st.integers(0, 9), min_size=1, max_size=10)),
-          st_draw(ends)]
+    raw = st_draw(st.booleans())
+    if raw:
+        # The gaps between distinct cuts of [0, 1] with denominators up to
+        # 12: positive weights summing to 1, with no one total behind them.
+        cut = st.fractions(0, 1, max_denominator=12).filter(lambda f: 0 < f < 1)
+        cuts = sorted(st_draw(st.lists(cut, min_size=2, max_size=10, unique=True)))
+        ws = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, 1])]
+    else:
+        ends = st.integers(1, 9)
+        ws = [st_draw(ends), *st_draw(st.lists(st.integers(0, 9), min_size=1, max_size=10)),
+              st_draw(ends)]
     n = len(ws)
     lo, hi = {"negative": (-20, -n), "straddle": (2 - n, -1), "anywhere": (-20, 20)}[where]
-    return make_pmf(st_draw(st.integers(lo, hi)), ws)
+    offset = st_draw(st.integers(lo, hi))
+    return Pmf(offset, ws) if raw else make_pmf(offset, ws)
 
 
 @st.composite
@@ -239,6 +249,11 @@ class TestMoments:
     def test_point_variance(self):
         assert variance(point_pmf(7)) == 0
 
+    def test_moments_over_unrelated_denominators(self):
+        p = Pmf(-1, [F(1, 2), F(1, 3), F(1, 6)])
+        assert _common_denominator(p) == (6, [3, 2, 1])
+        assert _moments(p) == (F(-1, 3), F(2, 3), F(5, 9))
+
     @pytest.mark.parametrize("n", range(0, 51))
     def test_uniform_variance_closed_form(self, n):
         p = uniform_pmf(0, n)
@@ -248,6 +263,7 @@ class TestMoments:
 
     @settings(deadline=None)
     @given(moment_cases())
+    @example(Pmf(-5, [F(1, 3), F(1, 4), 0, F(1, 5), F(13, 60)]))
     def test_one_pass_matches_the_reference_moments(self, p):
         mu = mean(p)
         abs_mean = sum((w * abs(k) for k, w in p.items()), F(0))

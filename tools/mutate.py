@@ -87,9 +87,11 @@ MUTANTS = [
     Mutant("E|X| without the factor 2", "dist_core.py",
            "m1 - 2 * below", "m1 - below", DIST_CORE),
     Mutant("E[X^2] for V(X)", "dist_core.py",
-           "m2 - m1 * m1", "m2", DIST_CORE),
+           "den * m2 - m1 * m1", "den * m2", DIST_CORE),
     Mutant("E|X| from the atoms above 0", "dist_core.py",
            "if k < 0:", "if k > 0:", DIST_CORE),
+    Mutant("numerators not rescaled to the common denominator", "dist_core.py",
+           "w.numerator * (den // w.denominator)", "w.numerator", DIST_CORE),
     # The CLI's one bound table, behind both bound and sweep.
     Mutant("tail about the mean one-sided", "cli.py",
            "centre = terms.mean if mode is TailMode.TWO_SIDED else None",

@@ -40,11 +40,10 @@ class UniformMixture(Record):
     @classmethod
     def from_dict(cls, obj: dict) -> "UniformMixture":
         try:
-            raw = obj["atoms"]
-            atoms = {int(i): w for i, w in raw.items()}
+            pairs = [(int(i), w) for i, w in obj["atoms"].items()]
         except (TypeError, KeyError, ValueError, AttributeError) as exc:
             raise ValidationError("uniform mixture JSON must be {'atoms': {i: 'num/den'}}") from exc
-        return cls(atoms)
+        return cls(_unique_atoms(pairs, "mixture"))
 
 
 class IntervalMixture(Record):
@@ -71,12 +70,24 @@ class IntervalMixture(Record):
     @classmethod
     def from_dict(cls, obj: dict) -> "IntervalMixture":
         try:
-            atoms = {(entry["l"], entry["r"]): entry["w"] for entry in obj["atoms"]}
+            atoms = _unique_atoms(
+                [((entry["l"], entry["r"]), entry["w"]) for entry in obj["atoms"]], "interval"
+            )
         except (TypeError, KeyError) as exc:
             raise ValidationError(
                 "interval mixture JSON must be {'atoms': [{'l','r','w'}]}"
             ) from exc
         return cls(atoms)
+
+
+def _unique_atoms(pairs: list[tuple[object, object]], kind: str) -> dict:
+    """``dict(pairs)``, but an atom given twice raises ValidationError."""
+    atoms = {}
+    for key, w in pairs:
+        if key in atoms:
+            raise ValidationError(f"{kind} atom {key!r} is given twice")
+        atoms[key] = w
+    return atoms
 
 
 def _check_interval(key: object) -> None:
@@ -156,12 +167,16 @@ def _level_sets(weights: Sequence[Fraction]) -> Iterator[tuple[int, int, Fractio
 
     Walked from the window ends in O(n), with no sort: the smaller end of a
     unimodal window {l..r} is its next level v (u the one before), and each
-    pointer then skips end weights <= v.  A gap in [l, r] is counted at every
-    higher level, so non-contiguous sets sum past 1: SoundnessViolationError.
+    pointer then skips end weights <= v.  So every step moves a pointer,
+    and a walk still open after len(weights) steps is a
+    SoundnessViolationError.  A gap in [l, r] is counted at every higher
+    level, so non-contiguous sets sum past 1: SoundnessViolationError too.
     """
     l, r = 0, len(weights) - 1
     prev = total = Fraction(0)
-    while l <= r:
+    for _ in range(len(weights)):
+        if l > r:
+            break
         level = min(weights[l], weights[r])
         mass = (level - prev) * (r - l + 1)
         total += mass
@@ -171,6 +186,8 @@ def _level_sets(weights: Sequence[Fraction]) -> Iterator[tuple[int, int, Fractio
             l += 1
         while l <= r and weights[r] <= level:
             r -= 1
+    if l <= r:
+        raise SoundnessViolationError(f"level walk still open after {len(weights)} steps")
     if total != 1:
         raise SoundnessViolationError(f"level sets are not contiguous: layers hold {total}")
 

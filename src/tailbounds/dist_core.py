@@ -1,12 +1,12 @@
 """Exact finite-support distributions on the integers.
 
 Everything in this module is exact rational arithmetic.  Weights are
-stored as `fractions.Fraction`; the one moment pass rescales them to
-integer numerators over their common denominator, sums integers and
-returns exact Fractions.  Moments, tails and shape predicates are
-computed exactly, so downstream equality checks (bound tightness,
-decomposition roundtrips) are genuine equalities rather than tolerance
-comparisons.
+stored as `fractions.Fraction`; the one moment pass, behind both
+:func:`mean` and :func:`variance`, rescales them to integer numerators
+over their common denominator, sums integers and returns exact
+Fractions.  Moments, tails and shape predicates are computed exactly,
+so downstream equality checks (bound tightness, decomposition
+roundtrips) are genuine equalities rather than tolerance comparisons.
 """
 from __future__ import annotations
 
@@ -120,6 +120,7 @@ class Pmf(Record):
         return self.offset + len(self.weights) - 1
 
     def probability(self, k: int) -> Fraction:
+        check_int(k, "probability point")
         idx = k - self.offset
         if 0 <= idx < len(self.weights):
             return self.weights[idx]
@@ -195,8 +196,8 @@ def point_pmf(k: int) -> Pmf:
 
 
 def mean(p: Pmf) -> Fraction:
-    """Exact expectation."""
-    return sum((w * k for k, w in p.items()), Fraction(0))
+    """Exact expectation, the first value of :func:`_moments`."""
+    return _moments(p)[0]
 
 
 def variance(p: Pmf) -> Fraction:

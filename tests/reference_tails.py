@@ -12,8 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from tailbounds import Pmf, ValidationError, mean
+from tailbounds import Pmf, ValidationError
 from tailbounds.dist_core import RationalLike, as_rational, check_int
+
+from reference_moments import reference_mean
 
 
 def reference_tail(p: Pmf, a: int) -> Fraction:
@@ -28,7 +30,7 @@ def reference_two_sided_tail(p: Pmf, a: RationalLike) -> Fraction:
     a = as_rational(a)
     if a <= 0:
         raise ValidationError("two-sided threshold must be positive")
-    mu = mean(p)
+    mu = reference_mean(p)
     return sum((w for k, w in p.items() if abs(k - mu) >= a), Fraction(0))
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -86,6 +87,23 @@ def uniform_mixtures(st_draw, max_index=79):
 )
 def test_atoms_validated_before_sorting_and_dropping_zeros(build):
     with pytest.raises(ValidationError):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build, repeated",
+    [
+        (lambda: UniformMixture.from_dict({"atoms": {"1": "1", "01": "1"}}), "mixture atom 1"),
+        (lambda: IntervalMixture.from_dict(
+            {"atoms": [{"l": 0, "r": 1, "w": "1"}, {"l": 0, "r": 1, "w": "1"}]}
+        ), "interval atom (0, 1)"),
+    ],
+    ids=["uniform-index-spelled-twice", "interval-listed-twice"],
+)
+def test_from_dict_rejects_a_repeated_atom(build, repeated):
+    # The later entry would overwrite the earlier one, so weights that
+    # total 2 in the JSON would pass as a mixture of total 1.
+    with pytest.raises(ValidationError, match=re.escape(f"{repeated} is given twice")):
         build()
 
 

@@ -33,7 +33,7 @@ from tailbounds import (
 import tailbounds.dist_core
 from tailbounds.dist_core import _common_denominator, _moments, _threshold_tails
 
-from reference_moments import reference_abs_mean, reference_variance_about
+from reference_moments import reference_abs_mean, reference_mean, reference_variance_about
 from reference_tails import reference_tail, reference_threshold_tails, reference_two_sided_tail
 
 
@@ -138,6 +138,7 @@ BOOL_AS_INTEGER = {
     "reduce_three_atoms": lambda: reduce_three_atoms(UniformMixture({1: F(1)}), True),
     "make_pmf-offset": lambda: make_pmf(True, [1]),
     "Pmf-offset": lambda: Pmf(True, (F(1),)),
+    "Pmf.probability": lambda: uniform_pmf(0, 3).probability(True),
     "from_dict-offset": lambda: Pmf.from_dict({"offset": True, "weights": ["1"]}),
     "as_rational": lambda: as_rational(True),
     "UniformMixture-index": lambda: UniformMixture({True: F(1)}),
@@ -156,6 +157,12 @@ BOOL_AS_INTEGER = {
 def test_bool_rejected_as_integer(call):
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("k", [0.5, "a", None, F(1)], ids=["float", "str", "None", "Fraction"])
+def test_probability_point_must_be_an_integer(k):
+    with pytest.raises(ValidationError, match="probability point must be an integer"):
+        make_pmf(0, [1, 1]).probability(k)
 
 
 class TestMakePmf:
@@ -265,7 +272,7 @@ class TestMoments:
     @given(moment_cases())
     @example(Pmf(-5, [F(1, 3), F(1, 4), 0, F(1, 5), F(13, 60)]))
     def test_one_pass_matches_the_reference_moments(self, p):
-        mu = mean(p)
+        mu = reference_mean(p)
         abs_mean = sum((w * abs(k) for k, w in p.items()), F(0))
         assert reference_abs_mean(p, mu) == abs_mean
         assert _moments(p) == (mu, abs_mean, reference_variance_about(p, mu))
@@ -301,7 +308,7 @@ class TestTails:
         # distance |k - mu|, compared with the slice sum, the per-point
         # filter and the distance buckets of tests/reference_tails.py.
         p, top = case
-        mu = mean(p)
+        mu = reference_mean(p)
         integers = [*range(min(p.offset, 0) - 3, top + 1), 10**6]
         one_sided = _threshold_tails(p, integers)
         assert one_sided == reference_threshold_tails(p, integers)
@@ -339,8 +346,8 @@ class TestTails:
         p = make_pmf(-3, [1, 2, 3, 2, 1])
         far = [10**6, 10**6 + 1]
         assert _threshold_tails(p, far) == [tail(p, a) for a in far] == [0, 0]
-        assert _threshold_tails(p, far, mean(p)) == [0, 0]
-        assert _threshold_tails(p, [2, 10**6, 1], mean(p)) == [
+        assert _threshold_tails(p, far, reference_mean(p)) == [0, 0]
+        assert _threshold_tails(p, [2, 10**6, 1], reference_mean(p)) == [
             two_sided_tail(p, 2), 0, two_sided_tail(p, 1),
         ]
 
@@ -401,7 +408,7 @@ class TestInvariants:
 
     @given(pmfs(), st.fractions(min_value="1/100", max_value=30))
     def test_two_sided_decomposes_into_one_sided_sums(self, p, a):
-        mu = mean(p)
+        mu = reference_mean(p)
         left = sum((w for k, w in p.items() if F(k) <= mu - a), F(0))
         right = sum((w for k, w in p.items() if F(k) >= mu + a), F(0))
         assert two_sided_tail(p, a) == left + right

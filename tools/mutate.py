@@ -92,12 +92,15 @@ MUTANTS = [
            "if k < 0:", "if k > 0:", DIST_CORE),
     Mutant("numerators not rescaled to the common denominator", "dist_core.py",
            "w.numerator * (den // w.denominator)", "w.numerator", DIST_CORE),
+    Mutant("E[X] without the atoms below 0", "dist_core.py",
+           "Fraction(m1, den)", "Fraction(m1 - below, den)", DIST_CORE),
     # The CLI's one bound table, behind both bound and sweep.
     Mutant("tail about the mean one-sided", "cli.py",
            "centre = terms.mean if mode is TailMode.TWO_SIDED else None",
            "centre = terms.mean if mode is TailMode.ONE_SIDED_UPPER else None", DIST_CORE),
     # The one level-set walk behind both decompositions. A pointer that
-    # stops on an end weight equal to the level loops forever.
+    # stops on an end weight equal to the level would loop forever, but
+    # the walk's len(weights) step bound stops it.
     Mutant("level walk l pointer < for <=", "decompose.py",
            "weights[l] <= level:", "weights[l] < level:", DECOMPOSE),
     Mutant("level walk r pointer < for <=", "decompose.py",

@@ -23,12 +23,14 @@ from .decompose import (
     unimodal_to_interval_mixture,
 )
 from .dist_core import (
+    INT_PATTERN,
     Pmf,
     _render_rational,
     _threshold_tails,
     as_rational,
     make_pmf,
     point_pmf,
+    read_int,
     uniform_pmf,
 )
 from .errors import TailBoundsError, ValidationError
@@ -69,7 +71,7 @@ def parse_pmf_literal(text: str) -> Pmf:
         )
     pos = len(kind) + 1
     if kind == "uniform":
-        m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", body)
+        m = re.fullmatch(rf"({INT_PATTERN})\.\.({INT_PATTERN})", body)
         if not m:
             raise ValidationError(
                 f"pmf literal {text!r}: expected 'l..r' at position {pos}"
@@ -80,8 +82,7 @@ def parse_pmf_literal(text: str) -> Pmf:
         _check_points(f"pmf literal {text!r}", hi - lo + 1)
         return uniform_pmf(lo, hi)
     if kind == "point":
-        m = re.fullmatch(r"-?\d+", body)
-        if not m:
+        if not re.fullmatch(INT_PATTERN, body):
             raise ValidationError(
                 f"pmf literal {text!r}: expected an integer at position {pos}"
             )
@@ -92,7 +93,7 @@ def parse_pmf_literal(text: str) -> Pmf:
             raise ValidationError(
                 f"pmf literal {text!r}: expected 'offset;w0,w1,...' at position {pos}"
             )
-        if not re.fullmatch(r"-?\d+", offset_text):
+        if not re.fullmatch(INT_PATTERN, offset_text):
             raise ValidationError(
                 f"pmf literal {text!r}: offset must be an integer at position {pos}"
             )
@@ -138,7 +139,7 @@ def _load_pmf(args: argparse.Namespace) -> Pmf:
 
 
 def _parse_int_range(text: str) -> list[int]:
-    m = re.fullmatch(r"(-?\d+)(?:\.\.(-?\d+))?", text)
+    m = re.fullmatch(rf"({INT_PATTERN})(?:\.\.({INT_PATTERN}))?", text)
     if not m:
         raise ValidationError(f"expected an integer or 'lo..hi' range, got {text!r}")
     lo = int(m.group(1))
@@ -150,6 +151,14 @@ def _parse_int_range(text: str) -> list[int]:
             f"range {text!r} has {hi - lo + 1} values; at most {_MAX_RANGE_VALUES} are allowed"
         )
     return list(range(lo, hi + 1))
+
+
+def _int_option(text: str) -> int:
+    """:func:`read_int` as an argparse type, refused as argparse refuses ``int``."""
+    try:
+        return read_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
@@ -278,6 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    modes = [mode.value for mode in TailMode]
 
     def add_pmf_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument("--pmf", help="inline literal: uniform:l..r | point:k | weights:o;w0,w1,...")
@@ -295,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="exact tail plus every applicable bound")
     p.set_defaults(run=_run_bound)
     add_pmf_opts(p)
-    p.add_argument("--a", required=True, type=int)
-    p.add_argument("--mode", choices=["one-sided", "two-sided"], default="one-sided")
+    p.add_argument("--a", required=True, type=_int_option)
+    p.add_argument("--mode", choices=modes, default=TailMode.ONE_SIDED_UPPER.value)
     add_format(p)
     add_float(p)
 
@@ -308,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extremal", help="construct a worst-case distribution")
     p.set_defaults(run=_run_extremal)
     p.add_argument("--kind", choices=["discrete", "continuous"], default="discrete")
-    p.add_argument("--a", required=True, type=int)
+    p.add_argument("--a", required=True, type=_int_option)
     p.add_argument("--mu", required=True)
     p.add_argument("--epsilon", type=float)
     add_float(p)
@@ -317,14 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_verify)
     p.add_argument("--a", required=True, help="integer or range lo..hi")
     p.add_argument("--mu", required=True, help="comma-separated rationals")
-    p.add_argument("--N", required=True, type=int, help="support cap for the oracle")
+    p.add_argument("--N", required=True, type=_int_option, help="support cap for the oracle")
     add_format(p, choices=("json", "csv"))
 
     p = sub.add_parser("sweep", help="bound-vs-exact-tail ratios across thresholds")
     p.set_defaults(run=_run_sweep)
     add_pmf_opts(p)
     p.add_argument("--a", required=True, help="integer or range lo..hi")
-    p.add_argument("--mode", choices=["one-sided", "two-sided"], default="one-sided")
+    p.add_argument("--mode", choices=modes, default=TailMode.ONE_SIDED_UPPER.value)
     add_format(p, choices=("json", "csv"))
     add_float(p)
 

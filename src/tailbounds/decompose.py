@@ -14,7 +14,7 @@ from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence
 
 from ._record import Record
-from .dist_core import Pmf, as_rational, check_int, make_pmf, shape
+from .dist_core import Pmf, as_rational, check_int, make_pmf, read_int, shape
 from .errors import ShapeViolationError, SoundnessViolationError, ValidationError
 
 
@@ -39,8 +39,9 @@ class UniformMixture(Record):
 
     @classmethod
     def from_dict(cls, obj: dict) -> "UniformMixture":
+        """Read :meth:`to_dict`'s form; :func:`read_int` reads each index, so "01" is atom 1."""
         try:
-            pairs = [(int(i), w) for i, w in obj["atoms"].items()]
+            pairs = [(read_int(i), w) for i, w in obj["atoms"].items()]
         except (TypeError, KeyError, ValueError, AttributeError) as exc:
             raise ValidationError("uniform mixture JSON must be {'atoms': {i: 'num/den'}}") from exc
         return cls(_unique_atoms(pairs, "mixture"))

@@ -20,6 +20,9 @@ from .errors import ValidationError
 
 RationalLike = Union[int, float, str, Fraction]
 
+# An integer written as text: an optional "-" and ASCII digits, leading zeros allowed.
+INT_PATTERN = r"-?[0-9]+"
+
 # Largest decimal exponent, in size, that ``as_rational`` reads from a
 # string: ``Fraction("1e<e>")`` builds 10**e in full before checking it.
 _MAX_EXPONENT = 10_000
@@ -40,15 +43,28 @@ def check_int(value: object, name: str, minimum: Optional[int] = None) -> None:
         raise ValidationError(f"{name} must be an integer{at_least}")
 
 
-def as_rational(value: RationalLike) -> Fraction:
-    """Coerce ints, Fractions, floats and strings like ``2/3`` or ``0.5``.
+def read_int(text: str) -> int:
+    """``text`` as an int if it matches :data:`INT_PATTERN`, else ValidationError.
 
-    ``bool`` is rejected: ``True`` is not a rational input, and so is a
-    string whose decimal exponent is above ``_MAX_EXPONENT`` in size.
+    Unlike ``int()``, refuses ``+3``, ``1_0``, `` 7 `` and non-ASCII digits;
+    past the int<->str digit limit, ``int()``'s own ValueError comes through.
+    """
+    if not re.fullmatch(INT_PATTERN, text):
+        raise ValidationError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def as_rational(value: RationalLike) -> Fraction:
+    """Coerce ints, Fractions, floats and ASCII strings like ``2/3`` or ``0.5``.
+
+    ``bool`` is rejected: ``True`` is not a rational input, and so are a
+    string that holds a non-ASCII character (``Fraction`` would read
+    non-ASCII digits) and a string whose decimal exponent is above
+    ``_MAX_EXPONENT`` in size.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool):
+    if isinstance(value, bool) or isinstance(value, str) and not value.isascii():
         raise ValidationError(f"not a rational number: {value!r}")
     try:
         # Fraction's own exponent grammar: int() fails only past the digit limit.
@@ -62,10 +78,16 @@ def as_rational(value: RationalLike) -> Fraction:
         raise ValidationError(f"not a rational number: {value!r}") from exc
 
 
-def _check_array(weights: object) -> None:
-    """Raise ValidationError unless pmf weights come as a list or tuple."""
+def _checked_weights(weights: object) -> tuple[Fraction, ...]:
+    """pmf weights, a nonempty list or tuple of nonnegative rationals, as a tuple of Fractions."""
     if not isinstance(weights, (list, tuple)):
         raise ValidationError(f"pmf weights must be a list or tuple; got {type(weights).__name__}")
+    ws = tuple([as_rational(w) for w in weights])
+    if not ws:
+        raise ValidationError("pmf needs at least one weight")
+    if any(w < 0 for w in ws):
+        raise ValidationError("pmf weights must be nonnegative")
+    return ws
 
 
 def _render_rational(value: Union[Fraction, float], exact: bool) -> Union[str, float]:
@@ -98,12 +120,7 @@ class Pmf(Record):
 
     def __post_init__(self) -> None:
         check_int(self.offset, "pmf offset")
-        _check_array(self.weights)
-        object.__setattr__(self, "weights", tuple(as_rational(w) for w in self.weights))
-        if not self.weights:
-            raise ValidationError("pmf needs at least one weight")
-        if any(w < 0 for w in self.weights):
-            raise ValidationError("pmf weights must be nonnegative")
+        object.__setattr__(self, "weights", _checked_weights(self.weights))
         if sum(self.weights) != 1:
             raise ValidationError("pmf weights must sum to exactly 1")
         if self.weights[0] == 0 or self.weights[-1] == 0:
@@ -146,7 +163,7 @@ class Pmf(Record):
         check_int(offset, "pmf 'offset'")
         if not isinstance(raw, (list, tuple)):
             raise ValidationError("pmf 'weights' must be an array of weights")
-        return make_pmf(offset, [as_rational(w) for w in raw])
+        return make_pmf(offset, raw)
 
 
 class ShapeReport(Record):
@@ -165,12 +182,7 @@ class ShapeReport(Record):
 def make_pmf(offset: int, weights: Sequence[RationalLike]) -> Pmf:
     """Build a canonical pmf, rescaling a list or tuple of weights by their exact sum."""
     check_int(offset, "offset")
-    _check_array(weights)
-    ws = [as_rational(w) for w in weights]
-    if not ws:
-        raise ValidationError("pmf needs at least one weight")
-    if any(w < 0 for w in ws):
-        raise ValidationError("pmf weights must be nonnegative")
+    ws = _checked_weights(weights)
     total = sum(ws)
     if total == 0:
         raise ValidationError("pmf weights must not all be zero")
@@ -185,6 +197,8 @@ def make_pmf(offset: int, weights: Sequence[RationalLike]) -> Pmf:
 
 def uniform_pmf(lo: int, hi: int) -> Pmf:
     """Discrete uniform on {lo..hi}."""
+    check_int(lo, "uniform lower end")
+    check_int(hi, "uniform upper end")
     if lo > hi:
         raise ValidationError(f"empty support {{{lo}..{hi}}}")
     return make_pmf(lo, [1] * (hi - lo + 1))

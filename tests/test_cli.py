@@ -61,7 +61,8 @@ class TestParsePmfLiteral:
     @pytest.mark.parametrize(
         "literal",
         ["uniform", "uniform:a..b", "uniform:5..2", "point:x", "weights:0",
-         "weights:z;1", "weights:0;1,oops", "gamma:1"],
+         "weights:z;1", "weights:0;1,oops", "gamma:1",
+         "point:\u0663", "uniform:\u0660..\u0663", "weights:\u0663;1,1"],
     )
     def test_bad_literals_report_position(self, literal):
         with pytest.raises(ValidationError, match="pmf literal"):
@@ -70,7 +71,8 @@ class TestParsePmfLiteral:
     @pytest.mark.parametrize("token, reason", [
         ("1e10001", "an exponent must be at most 10000 in size"),
         ("1/x", "not a rational number: '1/x'"),
-    ], ids=["exponent-cap", "not-rational"])
+        ("\u0663", "not a rational number: '\u0663'"),
+    ], ids=["exponent-cap", "not-rational", "non-ascii-digit"])
     def test_bad_weight_says_why(self, capsys, token, reason):
         literal = f"weights:0;{token},1"
         message = f"pmf literal {literal!r}: bad weight {token!r} at position 10: {reason}"
@@ -511,6 +513,28 @@ class TestDigitLimit:
             main(["decompose", "--pmf", "point:0"])
 
 
+class TestIntegerText:
+    """An integer written as text is an optional "-" and ASCII digits at every site."""
+
+    @pytest.mark.parametrize("argv, a", [
+        (["sweep", "--pmf", "uniform:0..3", "--a", "\u0661..\u0662"], "\u0661..\u0662"),
+        (["verify", "--a", "\u0663", "--mu", "1/2", "--N", "10"], "\u0663"),
+    ], ids=["sweep-a", "verify-a"])
+    def test_non_ascii_digits_in_a_range_exit_3(self, capsys, argv, a):
+        message = f"error: expected an integer or 'lo..hi' range, got {a!r}\n"
+        assert run_cli(capsys, *argv) == (3, "", message)
+
+    @pytest.mark.parametrize("argv, option, value", [
+        (["bound", "--pmf", "point:0", "--a", "1_0"], "--a", "1_0"),
+        (["extremal", "--a", "+3", "--mu", "1"], "--a", "+3"),
+        (["verify", "--a", "1", "--mu", "1/2", "--N", " 12"], "--N", " 12"),
+    ], ids=["bound-a", "extremal-a", "verify-N"])
+    def test_other_spellings_of_an_option_exit_2(self, argv, option, value):
+        code, out, err = run_main(argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
+
+
 class TestVerifyWorkCap:
     """A ``verify`` grid's cells times N + 1 is capped at ``_MAX_VERIFY_COLUMNS``."""
 
@@ -615,7 +639,7 @@ class TestUsageErrors:
 
 # Small tokens only: ranges of at most 20 values, N <= 60, at most 20
 # weights, so every generated invocation is cheap.
-INT_TEXT = st.integers(-5, 25).map(str)
+INT_TEXT = st.one_of(st.integers(-5, 25).map(str), st.sampled_from(["+3", "1_0", "\u0663"]))
 RANGE_TEXT = st.one_of(
     INT_TEXT,
     st.tuples(st.integers(-5, 20), st.integers(-1, 19)).map(lambda t: f"{t[0]}..{t[0] + t[1]}"),

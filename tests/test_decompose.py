@@ -135,6 +135,15 @@ class TestUniformMixture:
     def test_point_mass_at_zero(self):
         assert dict(to_uniform_mixture(point_pmf(0)).atoms) == {0: F(1)}
 
+    def test_from_dict_index_may_have_leading_zeros(self):
+        assert UniformMixture.from_dict({"atoms": {"01": "1"}}) == UniformMixture({1: F(1)})
+
+    @pytest.mark.parametrize("index", ["1_0", " 7 ", "+3", "\u0663"])
+    def test_from_dict_index_is_minus_and_ascii_digits(self, index):
+        # int() reads these as 10, 7, 3 and 3; to_dict writes none of them.
+        with pytest.raises(ValidationError, match="uniform mixture JSON must be"):
+            UniformMixture.from_dict({"atoms": {index: "1"}})
+
     @pytest.mark.parametrize("atoms", [[1], "0"], ids=["array", "string"])
     def test_from_dict_atoms_must_be_an_object(self, atoms):
         with pytest.raises(ValidationError, match="uniform mixture JSON must be"):

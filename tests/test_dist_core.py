@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -31,7 +32,7 @@ from tailbounds import (
     verify_tightness_theorem2,
 )
 import tailbounds.dist_core
-from tailbounds.dist_core import _common_denominator, _moments, _threshold_tails
+from tailbounds.dist_core import _common_denominator, _moments, _threshold_tails, read_int
 
 from reference_moments import reference_abs_mean, reference_mean, reference_variance_about
 from reference_tails import reference_tail, reference_threshold_tails, reference_two_sided_tail
@@ -113,16 +114,37 @@ class TestAsRational:
         with pytest.raises(ValidationError, match="exponent must be at most 5 in size"):
             as_rational(text)
 
+    # Fraction's grammar reads any Unicode digit and strips any Unicode space.
     @pytest.mark.parametrize("text", [
         "1e5_", "1e1__0", "1e_5", "1e", "1e+", "1e" + "0" * 4301 + "1", "7" * 4301,
+        "\u0663", "1/\u0663", "1e\u0663", "\u20031",
     ], ids=["trailing-underscore", "double-underscore", "leading-underscore", "no-digits",
-            "sign-only", "exponent-past-int-limit", "digits-past-int-limit"])
+            "sign-only", "exponent-past-int-limit", "digits-past-int-limit",
+            "arabic-indic-digit", "non-ascii-denominator", "non-ascii-exponent", "em-space"])
     def test_malformed_or_unreadable_numerals_rejected(self, text):
         with pytest.raises(ValidationError, match="not a rational number"):
             as_rational(text)
 
     def test_documented_cap(self):
         assert tailbounds.dist_core._MAX_EXPONENT == 10_000
+
+
+class TestReadInt:
+    @pytest.mark.parametrize("text, value", [("0", 0), ("01", 1), ("-3", -3), ("-0", 0)])
+    def test_minus_and_ascii_digits_read(self, text, value):
+        assert read_int(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "+3", "1_0", " 7 ", "7\n", "\u0663", "", "-", "--1", "1.0", "0x1",
+    ])
+    def test_other_spellings_rejected(self, text):
+        with pytest.raises(ValidationError, match=re.escape(f"not an integer: {text!r}")):
+            read_int(text)
+
+    def test_digit_limit_error_comes_through(self):
+        with pytest.raises(ValueError, match="integer string conversion") as excinfo:
+            read_int("7" * 4301)
+        assert excinfo.type is ValueError
 
 
 # Every public entry point that takes an integer, called with True where
@@ -139,6 +161,7 @@ BOOL_AS_INTEGER = {
     "make_pmf-offset": lambda: make_pmf(True, [1]),
     "Pmf-offset": lambda: Pmf(True, (F(1),)),
     "Pmf.probability": lambda: uniform_pmf(0, 3).probability(True),
+    "uniform_pmf-hi": lambda: uniform_pmf(0, True),
     "from_dict-offset": lambda: Pmf.from_dict({"offset": True, "weights": ["1"]}),
     "as_rational": lambda: as_rational(True),
     "UniformMixture-index": lambda: UniformMixture({True: F(1)}),
@@ -163,6 +186,13 @@ def test_bool_rejected_as_integer(call):
 def test_probability_point_must_be_an_integer(k):
     with pytest.raises(ValidationError, match="probability point must be an integer"):
         make_pmf(0, [1, 1]).probability(k)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.5, 3), (0, 2.5), ("a", 3), (0, None), (F(1), 3)],
+                         ids=["float-lo", "float-hi", "str-lo", "None-hi", "Fraction-lo"])
+def test_uniform_ends_must_be_integers(lo, hi):
+    with pytest.raises(ValidationError, match="uniform (lower|upper) end must be an integer"):
+        uniform_pmf(lo, hi)
 
 
 class TestMakePmf:

@@ -94,6 +94,11 @@ MUTANTS = [
            "w.numerator * (den // w.denominator)", "w.numerator", DIST_CORE),
     Mutant("E[X] without the atoms below 0", "dist_core.py",
            "Fraction(m1, den)", "Fraction(m1 - below, den)", DIST_CORE),
+    # The one reader of integers written as text, behind the CLI and mixture JSON.
+    Mutant("integer text with any Unicode digit", "dist_core.py",
+           'INT_PATTERN = r"-?[0-9]+"', 'INT_PATTERN = r"-?\\d+"', DIST_CORE),
+    Mutant("integer text without its minus", "dist_core.py",
+           'INT_PATTERN = r"-?[0-9]+"', 'INT_PATTERN = r"[0-9]+"', DIST_CORE),
     # The CLI's one bound table, behind both bound and sweep.
     Mutant("tail about the mean one-sided", "cli.py",
            "centre = terms.mean if mode is TailMode.TWO_SIDED else None",

@@ -16,10 +16,12 @@ from .dist_core import (
     Pmf,
     RationalLike,
     ShapeReport,
+    _as_float,
     _moments,
     _render_rational,
     as_rational,
     check_int,
+    check_sign,
     shape,
 )
 from .errors import ValidationError
@@ -61,19 +63,10 @@ class BoundResult(Record):
         }
 
 
-def _check_threshold(a: RationalLike) -> Fraction:
-    a = as_rational(a)
-    if a <= 0:
-        raise ValidationError("threshold a must be positive")
-    return a
-
-
 def markov_classical(mu: RationalLike, a: RationalLike) -> BoundResult:
     """P(|X| >= a) <= E|X| / a."""
-    a = _check_threshold(a)
-    mu = as_rational(mu)
-    if mu < 0:
-        raise ValidationError("E|X| must be nonnegative")
+    a = check_sign(as_rational(a), "threshold a", strict=True)
+    mu = check_sign(as_rational(mu), "E|X|")
     return BoundResult(
         value=mu / a,
         formula=Formula.MARKOV_CLASSICAL,
@@ -83,10 +76,8 @@ def markov_classical(mu: RationalLike, a: RationalLike) -> BoundResult:
 
 def chebyshev_classical(var: RationalLike, a: RationalLike) -> BoundResult:
     """P(|X - E[X]| >= a) <= V(X) / a^2."""
-    a = _check_threshold(a)
-    var = as_rational(var)
-    if var < 0:
-        raise ValidationError("variance must be nonnegative")
+    a = check_sign(as_rational(a), "threshold a", strict=True)
+    var = check_sign(as_rational(var), "variance")
     return BoundResult(
         value=var / a**2,
         formula=Formula.CHEBYSHEV_CLASSICAL,
@@ -97,9 +88,7 @@ def chebyshev_classical(var: RationalLike, a: RationalLike) -> BoundResult:
 def markov_decreasing(mu: RationalLike, a: int) -> BoundResult:
     """P(X >= a) <= E[X] / (2a - 1) for decreasing pmfs on {0,1,...}."""
     check_int(a, "threshold a", 1)
-    mu = as_rational(mu)
-    if mu < 0:
-        raise ValidationError("mean must be nonnegative")
+    mu = check_sign(as_rational(mu), "mean")
     return BoundResult(
         value=mu / (2 * a - 1),
         formula=Formula.MARKOV_DECREASING_DISCRETE,
@@ -110,9 +99,7 @@ def markov_decreasing(mu: RationalLike, a: int) -> BoundResult:
 def chebyshev_unimodal(var: RationalLike, a: int) -> BoundResult:
     """P(|X - E[X]| >= a) <= (V(X) + 1/12) / (2 (a - 1/2)^2) for unimodal pmfs."""
     check_int(a, "threshold a", 1)
-    var = as_rational(var)
-    if var < 0:
-        raise ValidationError("variance must be nonnegative")
+    var = check_sign(as_rational(var), "variance")
     return BoundResult(
         value=(var + Fraction(1, 12)) / (2 * (a - Fraction(1, 2)) ** 2),
         formula=Formula.CHEBYSHEV_UNIMODAL_DISCRETE,
@@ -120,28 +107,30 @@ def chebyshev_unimodal(var: RationalLike, a: int) -> BoundResult:
     )
 
 
-def markov_continuous_decreasing(mu: float, a: float) -> BoundResult:
-    """P(X >= a) <= E[X] / (2a) for continuous X with decreasing density."""
-    if not a > 0:
-        raise ValidationError("threshold a must be positive")
-    if not mu >= 0:
-        raise ValidationError("mean must be nonnegative")
+def markov_continuous_decreasing(mu: RationalLike, a: RationalLike) -> BoundResult:
+    """P(X >= a) <= E[X] / (2a) for continuous X with decreasing density.
+
+    Reads a, then mu, by :func:`_as_float`; the value is mu / a / 2, never forming 2a.
+    """
+    a = check_sign(_as_float(a, "threshold a"), "threshold a", strict=True)
+    mu = check_sign(_as_float(mu, "mean"), "mean")
     return BoundResult(
-        value=mu / (2.0 * a),
+        value=mu / a / 2,
         formula=Formula.MARKOV_CONTINUOUS_DECREASING,
         verified=("a > 0", "E[X] >= 0"),
         asserted=("nonnegative continuous with decreasing density (asserted, not verified)",),
     )
 
 
-def chebyshev_continuous_unimodal(var: float, a: float) -> BoundResult:
-    """P(|X - E[X]| >= a) <= V(X) / (2 a^2) under the half-interval density conditions."""
-    if not a > 0:
-        raise ValidationError("threshold a must be positive")
-    if not var >= 0:
-        raise ValidationError("variance must be nonnegative")
+def chebyshev_continuous_unimodal(var: RationalLike, a: RationalLike) -> BoundResult:
+    """P(|X - E[X]| >= a) <= V(X) / (2 a^2) under the half-interval density conditions.
+
+    Reads a, then var, by :func:`_as_float`; the value is var / a / a / 2, never forming a^2.
+    """
+    a = check_sign(_as_float(a, "threshold a"), "threshold a", strict=True)
+    var = check_sign(_as_float(var, "variance"), "variance")
     return BoundResult(
-        value=var / (2.0 * a * a),
+        value=var / a / a / 2,
         formula=Formula.CHEBYSHEV_CONTINUOUS_UNIMODAL,
         verified=("a > 0", "V(X) >= 0"),
         asserted=(

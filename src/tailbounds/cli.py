@@ -228,11 +228,7 @@ def _run_extremal(args: argparse.Namespace) -> str:
             raise ValidationError("--float applies only to --kind discrete")
         if args.epsilon is None:
             raise ValidationError("--epsilon is required for the continuous construction")
-        try:
-            a, mu = float(args.a), float(mu)
-        except OverflowError as exc:
-            raise ValidationError(f"--a or --mu is too large for a float: {exc}") from exc
-        spec = extremal_markov_continuous(a, mu, args.epsilon)
+        spec = extremal_markov_continuous(args.a, mu, args.epsilon)
     else:
         if args.epsilon is not None:
             raise ValidationError("--epsilon applies only to --kind continuous")

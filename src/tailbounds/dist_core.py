@@ -13,12 +13,13 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, TypeVar, Union
 
 from ._record import Record
 from .errors import ValidationError
 
 RationalLike = Union[int, float, str, Fraction]
+Number = TypeVar("Number", Fraction, float)
 
 # An integer written as text: an optional "-" and ASCII digits, leading zeros allowed.
 INT_PATTERN = r"-?[0-9]+"
@@ -41,6 +42,13 @@ def check_int(value: object, name: str, minimum: Optional[int] = None) -> None:
     ):
         at_least = "" if minimum is None else f" >= {minimum}"
         raise ValidationError(f"{name} must be an integer{at_least}")
+
+
+def check_sign(value: Number, name: str, strict: bool = False) -> Number:
+    """``value`` if it is > 0 (``strict``) or >= 0, else ValidationError; NaN is neither."""
+    if not (value > 0 if strict else value >= 0):
+        raise ValidationError(f"{name} must be {'positive' if strict else 'nonnegative'}")
+    return value
 
 
 def read_int(text: str) -> int:
@@ -78,6 +86,14 @@ def as_rational(value: RationalLike) -> Fraction:
         raise ValidationError(f"not a rational number: {value!r}") from exc
 
 
+def _as_float(value: RationalLike, name: str) -> float:
+    """The float layer's reader: :func:`as_rational`, then the nearest float."""
+    try:
+        return float(as_rational(value))
+    except OverflowError as exc:
+        raise ValidationError(f"{name} is too large for a float") from exc
+
+
 def _checked_weights(weights: object) -> tuple[Fraction, ...]:
     """pmf weights, a nonempty list or tuple of nonnegative rationals, as a tuple of Fractions."""
     if not isinstance(weights, (list, tuple)):
@@ -85,8 +101,7 @@ def _checked_weights(weights: object) -> tuple[Fraction, ...]:
     ws = tuple([as_rational(w) for w in weights])
     if not ws:
         raise ValidationError("pmf needs at least one weight")
-    if any(w < 0 for w in ws):
-        raise ValidationError("pmf weights must be nonnegative")
+    check_sign(min(ws), "pmf weights")
     return ws
 
 
@@ -254,9 +269,7 @@ def tail(p: Pmf, a: int) -> Fraction:
 
 def two_sided_tail(p: Pmf, a: RationalLike) -> Fraction:
     """Exact P(|X - E[X]| >= a) for rational a > 0."""
-    a = as_rational(a)
-    if a <= 0:
-        raise ValidationError("two-sided threshold must be positive")
+    a = check_sign(as_rational(a), "two-sided threshold", strict=True)
     return _threshold_tails(p, [a], mean(p))[0]
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from ._record import Record
 from .decompose import IntervalMixture, UniformMixture, mixture_tail
-from .dist_core import RationalLike, _render_rational, as_rational, check_int
+from .dist_core import RationalLike, _as_float, _render_rational, as_rational, check_int, check_sign
 from .errors import InfeasibleError, SoundnessViolationError, ValidationError
 
 
@@ -83,9 +83,7 @@ def extremal_markov_discrete(a: int, mu: RationalLike) -> ExtremalSpec:
     achieves the same tail.
     """
     check_int(a, "threshold a", 1)
-    mu = as_rational(mu)
-    if mu <= 0:
-        raise ValidationError("mean must be positive")
+    mu = check_sign(as_rational(mu), "mean", strict=True)
     top = 2 * a - 1
     d_top = 2 * mu / top
     if d_top > 1:
@@ -107,25 +105,30 @@ def extremal_markov_discrete(a: int, mu: RationalLike) -> ExtremalSpec:
     )
 
 
-def extremal_markov_continuous(a: float, mu: float, epsilon: float) -> ExtremalSpec:
+def extremal_markov_continuous(
+    a: RationalLike, mu: RationalLike, epsilon: RationalLike
+) -> ExtremalSpec:
     """Mixture of Unif[0, epsilon] and Unif[0, 2a] with mean mu.
 
     Achieves P(X >= a) = (mu - epsilon/2) / (2a - epsilon), which tends
-    to the supremum mu / (2a) as epsilon -> 0.
+    to the supremum mu / (2a) as epsilon -> 0.  Reads a, epsilon, then mu
+    with :func:`_as_float`, and evaluates the tail as p / 2 with p the mix
+    weight and the supremum as mu / a / 2, so 2a is never formed.
     """
-    if not a > 0:
-        raise ValidationError("threshold a must be positive")
+    a = check_sign(_as_float(a, "threshold a"), "threshold a", strict=True)
+    epsilon = _as_float(epsilon, "epsilon")
     if not 0 < epsilon < a:
         raise ValidationError("epsilon must lie in (0, a)")
-    if not mu >= epsilon / 2:
+    mu = _as_float(mu, "mean")
+    if mu < epsilon / 2:
         raise ValidationError("mean must be at least epsilon/2")
     p = (mu - epsilon / 2) / (a - epsilon / 2)
     if p > 1:
         raise ValidationError(
             f"mean {mu} too large for threshold {a}: mix weight {p} exceeds 1"
         )
-    achieved = (mu - epsilon / 2) / (2 * a - epsilon)
-    bound = mu / (2 * a)
+    achieved = p / 2
+    bound = mu / a / 2
     return ExtremalSpec(
         kind=ExtremalKind.CONTINUOUS_EPSILON_MIXTURE,
         achieved_tail=achieved,
@@ -341,9 +344,7 @@ def lp_max_two_sided_unimodal(
     """
     check_int(a, "threshold a", 1)
     mu = as_rational(mu)
-    var = as_rational(var)
-    if var < 0:
-        raise ValidationError("variance must be nonnegative")
+    var = check_sign(as_rational(var), "variance")
     check_int(N, "window radius N", 1)
     lo = math.ceil(mu - N)
     hi = math.floor(mu + N)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -11,6 +12,9 @@ from tailbounds import (
     chebyshev_classical,
     chebyshev_continuous_unimodal,
     chebyshev_unimodal,
+    extremal_markov_continuous,
+    extremal_markov_discrete,
+    lp_max_two_sided_unimodal,
     make_pmf,
     markov_classical,
     markov_continuous_decreasing,
@@ -85,6 +89,9 @@ class TestChebyshevUnimodal:
         assert abs(sharp / half_classical - 1) < F(1, 50)
 
 
+CONTINUOUS = [markov_continuous_decreasing, chebyshev_continuous_unimodal]
+
+
 class TestContinuousFormulas:
     def test_exponential_example(self):
         r = markov_continuous_decreasing(0.5, 1.5)
@@ -116,6 +123,83 @@ class TestContinuousFormulas:
             assert chebyshev_continuous_unimodal(var, a).value == pytest.approx(
                 float(chebyshev_classical(F(var), F(a)).value) / 2, abs=1e-15
             )
+
+    def test_large_inputs_keep_their_value(self):
+        # 2a and a^2 would overflow to inf and read 0.0.
+        assert markov_continuous_decreasing(1e308, 1e308).value == 0.5
+        assert chebyshev_continuous_unimodal(1e308, 1e200).value == pytest.approx(
+            5e-93, rel=1e-15
+        )
+
+    def test_tiny_threshold_gives_inf(self):
+        # a^2 would underflow to 0; the true bound, 5e399, is past the float range.
+        assert chebyshev_continuous_unimodal(1.0, 1e-200).value == math.inf
+
+    @pytest.mark.parametrize("formula", CONTINUOUS)
+    def test_inputs_read_as_rationals(self, formula):
+        assert formula("1/2", F(3, 2)).value == formula(0.5, 1.5).value
+
+    @pytest.mark.parametrize("formula", CONTINUOUS)
+    @pytest.mark.parametrize("args, message", [
+        ((True, 2.0), "^not a rational number: True$"),
+        ((object(), 2.0), "^not a rational number: <object"),
+        ((1.0, 10**309), "^threshold a is too large for a float$"),
+    ], ids=["bool", "object", "overflow"])
+    def test_inputs_refused(self, formula, args, message):
+        with pytest.raises(ValidationError, match=message):
+            formula(*args)
+
+
+# Every sign-checked parameter: (call with the value in its place, message, strict).
+SIGN_CHECKED = {
+    "markov_classical-a": (lambda v: markov_classical(1, v), "threshold a must be positive", True),
+    "markov_classical-mu": (lambda v: markov_classical(v, 1), "E|X| must be nonnegative", False),
+    "chebyshev_classical-a": (
+        lambda v: chebyshev_classical(1, v), "threshold a must be positive", True),
+    "chebyshev_classical-var": (
+        lambda v: chebyshev_classical(v, 1), "variance must be nonnegative", False),
+    "markov_decreasing-mu": (lambda v: markov_decreasing(v, 1), "mean must be nonnegative", False),
+    "chebyshev_unimodal-var": (
+        lambda v: chebyshev_unimodal(v, 1), "variance must be nonnegative", False),
+    "markov_continuous_decreasing-a": (
+        lambda v: markov_continuous_decreasing(1.0, v), "threshold a must be positive", True),
+    "markov_continuous_decreasing-mu": (
+        lambda v: markov_continuous_decreasing(v, 1.0), "mean must be nonnegative", False),
+    "chebyshev_continuous_unimodal-a": (
+        lambda v: chebyshev_continuous_unimodal(1.0, v), "threshold a must be positive", True),
+    "chebyshev_continuous_unimodal-var": (
+        lambda v: chebyshev_continuous_unimodal(v, 1.0), "variance must be nonnegative", False),
+    "make_pmf-weight": (lambda v: make_pmf(0, [1, v, 1]), "pmf weights must be nonnegative", False),
+    "two_sided_tail-a": (
+        lambda v: two_sided_tail(uniform_pmf(0, 3), v), "two-sided threshold must be positive",
+        True),
+    "extremal_markov_discrete-mu": (
+        lambda v: extremal_markov_discrete(3, v), "mean must be positive", True),
+    "extremal_markov_continuous-a": (
+        lambda v: extremal_markov_continuous(v, 0.5, 0.1), "threshold a must be positive", True),
+    "lp_max_two_sided_unimodal-var": (
+        lambda v: lp_max_two_sided_unimodal(1, 0, v, 4), "variance must be nonnegative", False),
+}
+
+
+@pytest.mark.parametrize("call, value, message", [
+    pytest.param(call, value, message, id=f"{name}-{label}")
+    for name, (call, message, strict) in SIGN_CHECKED.items()
+    for label, value in [("negative", -1), ("negative-tiny", F(-1, 10**30))]
+    + [("zero", 0)] * strict
+])
+def test_sign_check_message(call, value, message):
+    with pytest.raises(ValidationError) as excinfo:
+        call(value)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(call, id=name)
+    for name, (call, _, strict) in SIGN_CHECKED.items() if not strict
+])
+def test_nonnegative_parameter_takes_zero(call):
+    call(0)
 
 
 class TestBestBound:

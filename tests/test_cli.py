@@ -237,6 +237,21 @@ class TestExtremalCommand:
         assert code == 3 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_continuous_threshold_too_large_for_float(self, capsys):
+        assert run_cli(
+            capsys, "extremal", "--kind", "continuous", "--a", str(10**309), "--mu", "1",
+            "--epsilon", "0.5",
+        ) == (3, "", "error: threshold a is too large for a float\n")
+
+    def test_continuous_near_the_float_limit(self, capsys):
+        # 2a would overflow to inf and read both values as 0.0.
+        code, out, _ = run_cli(
+            capsys, "extremal", "--kind", "continuous", "--a", str(10**308), "--mu", "1e308",
+            "--epsilon", "1e307",
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["achieved_tail"] == payload["bound_value"] == 0.5
+
 
     def test_construction_mismatch_exits_5(self, capsys, monkeypatch):
         # The check must raise, not assert, so that it also runs under python -O.

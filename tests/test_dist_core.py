@@ -32,7 +32,9 @@ from tailbounds import (
     verify_tightness_theorem2,
 )
 import tailbounds.dist_core
-from tailbounds.dist_core import _common_denominator, _moments, _threshold_tails, read_int
+from tailbounds.dist_core import (
+    _as_float, _common_denominator, _moments, _threshold_tails, check_sign, read_int,
+)
 
 from reference_moments import reference_abs_mean, reference_mean, reference_variance_about
 from reference_tails import reference_tail, reference_threshold_tails, reference_two_sided_tail
@@ -145,6 +147,44 @@ class TestReadInt:
         with pytest.raises(ValueError, match="integer string conversion") as excinfo:
             read_int("7" * 4301)
         assert excinfo.type is ValueError
+
+
+class TestCheckSign:
+    @pytest.mark.parametrize("value", [F(1, 10**30), 1e-300, 1, float("inf")])
+    def test_positive_returned(self, value):
+        assert check_sign(value, "x") is value
+        assert check_sign(value, "x", strict=True) is value
+
+    @pytest.mark.parametrize("value", [F(0), 0.0, -0.0])
+    def test_zero_is_nonnegative_but_not_positive(self, value):
+        assert check_sign(value, "x") is value
+        with pytest.raises(ValidationError, match="^x must be positive$"):
+            check_sign(value, "x", strict=True)
+
+    @pytest.mark.parametrize("value", [F(-1, 10**30), -1e-300, float("-inf"), float("nan")])
+    def test_negative_and_nan_fail_both(self, value):
+        with pytest.raises(ValidationError, match="^x must be nonnegative$"):
+            check_sign(value, "x")
+        with pytest.raises(ValidationError, match="^x must be positive$"):
+            check_sign(value, "x", strict=True)
+
+
+class TestAsFloat:
+    @pytest.mark.parametrize("value, expected", [
+        (F(1, 3), 1 / 3), ("1/4", 0.25), (10**308, 1e308), (-2.5, -2.5), (F(1, 10**400), 0.0),
+    ])
+    def test_nearest_float(self, value, expected):
+        assert _as_float(value, "x") == expected
+
+    @pytest.mark.parametrize("value", [10**309, -(10**309), F(10**400, 3), "1e309"])
+    def test_past_the_float_range(self, value):
+        with pytest.raises(ValidationError, match="^x is too large for a float$"):
+            _as_float(value, "x")
+
+    @pytest.mark.parametrize("value", [True, float("nan"), float("inf"), "x", None])
+    def test_not_a_rational(self, value):
+        with pytest.raises(ValidationError, match=re.escape(f"not a rational number: {value!r}")):
+            _as_float(value, "x")
 
 
 # Every public entry point that takes an integer, called with True where

@@ -7,7 +7,9 @@ module may import ``dataclasses``, which pulls in ``inspect`` and about a
 megabyte of modules at import time; value classes derive from
 ``tailbounds._record.Record`` instead.  No module may use ``assert``,
 which ``python -O`` strips: internal invariants raise
-SoundnessViolationError.
+SoundnessViolationError.  Every "must be positive" or "must be
+nonnegative" ValidationError comes from ``dist_core.check_sign``, so
+each sign check reads alike.
 """
 import ast
 from pathlib import Path
@@ -75,3 +77,53 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+SIGN_ENDINGS = ("must be positive", "must be nonnegative")
+
+
+def sign_messages(tree: ast.AST, where: str) -> list[str]:
+    """``where:line`` of each ValidationError message outside ``check_sign`` with a sign ending.
+
+    A message is the call's first argument, a string literal or an
+    f-string, read up to its last literal part.
+    """
+    checker = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "check_sign"
+        for inner in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if (id(node) not in checker and isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "ValidationError"):
+            message = node.args[0] if node.args else None
+            if isinstance(message, ast.JoinedStr) and message.values:
+                message = message.values[-1]
+            if (isinstance(message, ast.Constant) and isinstance(message.value, str)
+                    and message.value.endswith(SIGN_ENDINGS)):
+                found.append(f"{where}:{node.lineno}")
+    return found
+
+
+def test_sign_messages_come_from_check_sign():
+    found = [
+        line
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in sign_messages(ast.parse(path.read_text(), filename=str(path)), path.name)
+    ]
+    assert found == []
+    assert "def check_sign(" in (PACKAGE / "dist_core.py").read_text()
+
+
+@pytest.mark.parametrize("source, found", [
+    ('raise ValidationError("mean must be positive")', ["m.py:1"]),
+    ('raise ValidationError(f"{name} must be nonnegative")', ["m.py:1"]),
+    ('raise ValidationError(f"mean must be positive: {mu}")', []),
+    ('raise ValueError("mean must be positive")', []),
+    ('def check_sign(v, name):\n    raise ValidationError(f"{name} must be positive")', []),
+    ('def f():\n    raise ValidationError("x must be nonnegative")', ["m.py:2"]),
+])
+def test_sign_rule_reads_literals_and_f_strings(source, found):
+    assert sign_messages(ast.parse(source), "m.py") == found

@@ -99,6 +99,11 @@ MUTANTS = [
            'INT_PATTERN = r"-?[0-9]+"', 'INT_PATTERN = r"-?\\d+"', DIST_CORE),
     Mutant("integer text without its minus", "dist_core.py",
            'INT_PATTERN = r"-?[0-9]+"', 'INT_PATTERN = r"[0-9]+"', DIST_CORE),
+    # The one sign check behind every "must be positive" and "must be nonnegative".
+    Mutant("strict sign check lets 0 through", "dist_core.py",
+           "value > 0 if strict", "value >= 0 if strict", DIST_CORE),
+    Mutant("nonnegative check refuses 0", "dist_core.py",
+           "else value >= 0", "else value > 0", DIST_CORE),
     # The CLI's one bound table, behind both bound and sweep.
     Mutant("tail about the mean one-sided", "cli.py",
            "centre = terms.mean if mode is TailMode.TWO_SIDED else None",

@@ -87,11 +87,19 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 def _as_float(value: RationalLike, name: str) -> float:
-    """The float layer's reader: :func:`as_rational`, then the nearest float."""
+    """The float layer's reader: :func:`as_rational`, then the nearest float.
+
+    A nonzero value whose nearest float is 0.0 is refused, so that it is not
+    read as 0 and then refused by a sign check for the wrong reason.
+    """
+    exact = as_rational(value)
     try:
-        return float(as_rational(value))
+        out = float(exact)
     except OverflowError as exc:
         raise ValidationError(f"{name} is too large for a float") from exc
+    if exact and not out:
+        raise ValidationError(f"{name} underflows to 0 as a float")
+    return out
 
 
 def _checked_weights(weights: object) -> tuple[Fraction, ...]:
@@ -108,13 +116,17 @@ def _checked_weights(weights: object) -> tuple[Fraction, ...]:
 def _render_rational(value: Union[Fraction, float], exact: bool) -> Union[str, float]:
     """JSON form of a result: ``"num/den"``, or a float when not ``exact``.
 
-    Float results (the continuous formulas) pass through unchanged.
+    Float results (the continuous formulas) pass through unchanged when
+    finite; JSON has no infinity, so one past the float range is refused
+    as an exact one is.
     """
     try:
         if isinstance(value, Fraction):
             return str(value) if exact else float(value)
     except OverflowError as exc:
         raise ValidationError("a result is too large for a float") from exc
+    if not math.isfinite(value):
+        raise ValidationError("a result is too large for a float")
     return value
 
 

@@ -58,7 +58,8 @@ class OracleResult(Record):
 
     ``enumerated`` counts the oracle's work and is deterministic: the
     columns the certificate checks (N + 1) for the decreasing oracle, and
-    the simplex pivots summed over every common point for the two-sided one.
+    for the two-sided one the simplex pivots summed over the common points
+    the simplex ran on; a point certified by a reused Farkas vector adds none.
     """
 
     max_tail: Fraction
@@ -281,8 +282,11 @@ def _run_phase(
     (artificials, encoded negative, first).  Artificials never re-enter,
     and one at zero leaves at ratio 0 on any nonzero entry.  Returns the
     adjugate, determinant, dual y = c_B adj (dual solution y / det), pivots.
+    Bland's rule visits no basis twice, so more pivots than there are
+    bases, C(len(A) + 3, 3), raise SoundnessViolationError, not a hang.
     """
     pivots = 0
+    bases = math.comb(len(A) + 3, 3)
     while True:
         adj, det = _basis_inverse(A, basis)
         cb = [cost[j] if j >= 0 else artificial_cost for j in basis]
@@ -307,6 +311,8 @@ def _run_phase(
             raise SoundnessViolationError("simplex found an unbounded ray in a bounded LP")
         basis[leave] = j
         pivots += 1
+        if pivots > bases:
+            raise SoundnessViolationError(f"simplex made more pivots than the {bases} bases")
 
 
 def _simplex(
@@ -340,7 +346,15 @@ def lp_max_two_sided_unimodal(
     constraints (mass, mean, second moment).  Each is solved by an exact
     two-phase simplex in integer arithmetic, and its dual (or, when
     infeasible, Farkas) certificate is checked before the maximum over c
-    is returned; the first c wins ties.
+    is returned; the lowest c wins ties.
+
+    The common points are visited outward from mu, c <= mu going down and
+    c > mu going up, and each side keeps the last Farkas vector its
+    simplex found.  b is the same for every c, so that vector still has
+    y.b < 0, and when y.A_j >= 0 on every column of the next c it is that
+    c's certificate and the simplex is skipped.  Far from mu most c are
+    infeasible, and one vector often certifies a run of them.  Every c,
+    reused or not, still passes :func:`_check_certificate`.
     """
     check_int(a, "threshold a", 1)
     mu = as_rational(mu)
@@ -371,25 +385,37 @@ def lp_max_two_sided_unimodal(
         by_left.append(row)
 
     pivots = 0
-    best: Optional[tuple[int, int, list, dict[int, int]]] = None
-    for c in range(lo, hi + 1):
-        # Intervals [l, r] with l <= c <= r, in (l, r) order.
-        members = [iv for row in by_left[: c - lo + 1] for iv in row[c - row[0][0]:]]
-        A = [iv[2] for iv in members]
-        obj = [iv[3] for iv in members]
-        solution, y, det, count = _simplex(A, obj, b)
-        pivots += count
-        num = _check_certificate(A, obj, b, y, det, solution)
-        if num is None:
-            continue
-        if best is None or num * best[1] > best[0] * det:
-            best = (num, det, members, solution)
+    best: Optional[tuple[int, int, int, list, dict[int, int]]] = None
+    below = range(math.floor(mu), lo - 1, -1)
+    above = range(math.floor(mu) + 1, hi + 1)
+    for side in (below, above):
+        farkas: Optional[Column] = None  # the last Farkas vector found on this side
+        for c in side:
+            # Intervals [l, r] with l <= c <= r, in (l, r) order.
+            members = [iv for row in by_left[: c - lo + 1] for iv in row[c - row[0][0]:]]
+            A = [iv[2] for iv in members]
+            obj = [iv[3] for iv in members]
+            if farkas is not None and all(_dot(farkas, col) >= 0 for col in A):
+                solution, y, det = None, farkas, 1
+            else:
+                solution, y, det, count = _simplex(A, obj, b)
+                pivots += count
+                if solution is None:
+                    farkas = y
+            num = _check_certificate(A, obj, b, y, det, solution)
+            if num is None:
+                continue
+            # The side below mu runs downward, so a tie must go to the lower c.
+            if best is None or num * best[1] > best[0] * det or (
+                num * best[1] == best[0] * det and c < best[2]
+            ):
+                best = (num, det, c, members, solution)
 
     if best is None:
         raise InfeasibleError(
             f"no unimodal pmf on [{lo}, {hi}] has mean {mu} and variance {var}"
         )
-    num, det, members, solution = best
+    num, det, _, members, solution = best
     atoms = {}
     for j, x in solution.items():
         l, r, _, _ = members[j]

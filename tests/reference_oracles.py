@@ -11,6 +11,12 @@ that both are right.
 oracle's closed-form edge: it builds the upper concave envelope with a
 monotone-chain scan (``_upper_hull``) and takes the edge that brackets
 2mu, as the library oracle did before it picked that edge directly.
+
+``simplex_max_two_sided_unimodal`` is the in-order form of the two-sided
+oracle: it runs the library's simplex on every common point from the
+lowest up, with no reused Farkas vector, and the first c wins ties.  It
+shares the solver, so it checks the visit order, the reuse and the tie
+rule, not the simplex itself.
 """
 from __future__ import annotations
 
@@ -26,7 +32,8 @@ from tailbounds import (
     ValidationError,
     as_rational,
 )
-from tailbounds.dist_core import check_int
+from tailbounds.dist_core import check_int, check_sign
+from tailbounds.extremal import _check_certificate, _simplex
 
 
 def reference_max_tail_decreasing(a: int, mu, N: int) -> OracleResult:
@@ -274,4 +281,67 @@ def reference_max_two_sided_unimodal(a: int, mu, var, N: int) -> OracleResult:
         max_tail=Fraction(best_num, best_den),
         argmax=IntervalMixture(atoms),
         enumerated=examined,
+    )
+
+
+def simplex_max_two_sided_unimodal(a: int, mu, var, N: int) -> OracleResult:
+    """The two-sided oracle with the simplex run on every c, lowest first.
+
+    Same LP, columns and result fields as ``lp_max_two_sided_unimodal``;
+    ``enumerated`` is the pivots summed over every common point.
+    """
+    check_int(a, "threshold a", 1)
+    mu = as_rational(mu)
+    var = check_sign(as_rational(var), "variance")
+    check_int(N, "window radius N", 1)
+    lo = math.ceil(mu - N)
+    hi = math.floor(mu + N)
+    upper_cut = math.ceil(mu + a)  # k >= mu + a  <=>  k >= upper_cut
+    lower_cut = math.floor(mu - a)  # k <= mu - a  <=>  k <= lower_cut
+    s2 = var + mu * mu
+    d2, d3 = mu.denominator, s2.denominator
+    # The mean row is negated when mu < 0, so that b >= 0 as phase 1 needs.
+    sign = -1 if mu < 0 else 1
+    b = (1, sign * mu.numerator, s2.numerator)
+
+    # One scaled integer column per interval, grouped by left end.
+    # Substituting w = 2 * len * u makes every constraint coefficient an
+    # integer: mass row 2*len, mean row d2*len*(l+r), second-moment row
+    # 2*d3*sum(k^2); the objective coefficient is 2 * (# tail points).
+    by_left: list[list[tuple[int, int, tuple[int, int, int], int]]] = []
+    for l in range(lo, hi + 1):
+        row = []
+        for r in range(l, hi + 1):
+            length = r - l + 1
+            col = (2 * length, sign * d2 * length * (l + r), 2 * d3 * _sum_of_squares(l, r))
+            count = max(0, r - max(l, upper_cut) + 1) + max(0, min(r, lower_cut) - l + 1)
+            row.append((l, r, col, 2 * count))
+        by_left.append(row)
+
+    pivots = 0
+    best: Optional[tuple[int, int, list, dict[int, int]]] = None
+    for c in range(lo, hi + 1):
+        # Intervals [l, r] with l <= c <= r, in (l, r) order.
+        members = [iv for row in by_left[: c - lo + 1] for iv in row[c - row[0][0]:]]
+        A = [iv[2] for iv in members]
+        obj = [iv[3] for iv in members]
+        solution, y, det, count = _simplex(A, obj, b)
+        pivots += count
+        num = _check_certificate(A, obj, b, y, det, solution)
+        if num is None:
+            continue
+        if best is None or num * best[1] > best[0] * det:
+            best = (num, det, members, solution)
+
+    if best is None:
+        raise InfeasibleError(
+            f"no unimodal pmf on [{lo}, {hi}] has mean {mu} and variance {var}"
+        )
+    num, det, members, solution = best
+    atoms = {}
+    for j, x in solution.items():
+        l, r, _, _ = members[j]
+        atoms[(l, r)] = Fraction(2 * (r - l + 1) * x, det)
+    return OracleResult(
+        max_tail=Fraction(num, det), argmax=IntervalMixture(atoms), enumerated=pivots
     )

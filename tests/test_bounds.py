@@ -135,6 +135,13 @@ class TestContinuousFormulas:
         # a^2 would underflow to 0; the true bound, 5e399, is past the float range.
         assert chebyshev_continuous_unimodal(1.0, 1e-200).value == math.inf
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_infinite_value_refused_as_json(self, exact):
+        # JSON has no infinity: json.dumps would write the non-standard Infinity.
+        result = chebyshev_continuous_unimodal(1.0, 1e-200)
+        with pytest.raises(ValidationError, match="^a result is too large for a float$"):
+            result.to_dict(exact)
+
     @pytest.mark.parametrize("formula", CONTINUOUS)
     def test_inputs_read_as_rationals(self, formula):
         assert formula("1/2", F(3, 2)).value == formula(0.5, 1.5).value
@@ -200,6 +207,19 @@ def test_sign_check_message(call, value, message):
 ])
 def test_nonnegative_parameter_takes_zero(call):
     call(0)
+
+
+# The float layer's parameters: a positive value whose nearest float is 0.0
+# is refused by name, not by a sign check that would call it nonpositive.
+@pytest.mark.parametrize("name", [
+    name for name in SIGN_CHECKED
+    if name.startswith(("markov_continuous", "chebyshev_continuous", "extremal_markov_continuous"))
+])
+def test_float_parameter_underflow_message(name):
+    call, message, _ = SIGN_CHECKED[name]
+    with pytest.raises(ValidationError) as excinfo:
+        call(F(1, 10**400))
+    assert str(excinfo.value) == message.split(" must be ")[0] + " underflows to 0 as a float"
 
 
 class TestBestBound:

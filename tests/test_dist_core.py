@@ -171,10 +171,18 @@ class TestCheckSign:
 
 class TestAsFloat:
     @pytest.mark.parametrize("value, expected", [
-        (F(1, 3), 1 / 3), ("1/4", 0.25), (10**308, 1e308), (-2.5, -2.5), (F(1, 10**400), 0.0),
+        (F(1, 3), 1 / 3), ("1/4", 0.25), (10**308, 1e308), (-2.5, -2.5), (F(0), 0.0),
     ])
     def test_nearest_float(self, value, expected):
         assert _as_float(value, "x") == expected
+
+    @pytest.mark.parametrize("value", [F(1, 10**400), F(-1, 10**400), "1e-400", F(1, 2**1075)])
+    def test_nonzero_value_that_rounds_to_zero(self, value):
+        with pytest.raises(ValidationError, match="^x underflows to 0 as a float$"):
+            _as_float(value, "x")
+
+    def test_smallest_subnormal_is_kept(self):
+        assert _as_float(F(1, 2**1074), "x") == 5e-324
 
     @pytest.mark.parametrize("value", [10**309, -(10**309), F(10**400, 3), "1e309"])
     def test_past_the_float_range(self, value):

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -28,13 +29,16 @@ from tailbounds import (
     variance,
     verify_tightness_theorem2,
 )
+from tailbounds import extremal
 from tailbounds.extremal import _check_certificate, _run_phase, _simplex
 
 from reference_oracles import (
     hull_max_tail_decreasing,
     reference_max_tail_decreasing,
     reference_max_two_sided_unimodal,
+    simplex_max_two_sided_unimodal,
 )
+from test_acceptance import CRITERION_6_CONFIGS
 
 
 class TestExtremalMarkovDiscrete:
@@ -359,6 +363,68 @@ class TestReferenceCrossCheck:
         assert time.perf_counter() - start < 10.0
 
 
+def _result_and_work(oracle, *args):
+    """((max_tail, argmax), enumerated), or (("infeasible", message), None)."""
+    try:
+        res = oracle(*args)
+    except InfeasibleError as exc:
+        return ("infeasible", str(exc)), None
+    return (res.max_tail, res.argmax), res.enumerated
+
+
+class TestFarkasReuse:
+    """Reused Farkas vectors change the work done, never the result."""
+
+    @staticmethod
+    def cases():
+        cases = [
+            (2, F(3), F(0), 4),  # var = 0 at an integer mu: a point mass
+            (1, F(-1, 2), F(0), 4),  # var = 0 off the lattice: infeasible
+            (2, F(0), F(1000), 3),  # variance far beyond the window
+            (3, F(-7, 3), F(64), 8),  # past any pmf on [-10, 5] with this mean: 506/9
+            (1, F(-5, 2), F(1, 4), 1),  # window {-3, -2}, two equal atoms
+            (4, F(-5, 3), F(5), 4),  # c = -5 and a higher c tie with different argmaxes
+        ]
+        rng = random.Random(20261019)
+        for radius in range(1, 9):
+            for q in (1, 2, 3):
+                for _ in range(4):
+                    mu = F(rng.randint(-12, 12), q)
+                    var = F(rng.randint(0, 2 * radius * radius), rng.choice([1, 2, 4, 12]))
+                    cases.append((rng.randint(1, 4), mu, var, radius))
+        return cases
+
+    def test_matches_the_in_order_reference(self, monkeypatch):
+        checked = []
+
+        def counting_check(*args):
+            checked.append(args)
+            return _check_certificate(*args)
+
+        monkeypatch.setattr(extremal, "_check_certificate", counting_check)
+        start = time.perf_counter()
+        feasible = 0
+        for a, mu, var, radius in self.cases():
+            want, want_work = _result_and_work(simplex_max_two_sided_unimodal, a, mu, var, radius)
+            checked.clear()
+            got, work = _result_and_work(lp_max_two_sided_unimodal, a, mu, var, radius)
+            assert got == want, (a, mu, var, radius)
+            # Every common point in the window passes the one checker.
+            assert len(checked) == math.floor(mu + radius) - math.ceil(mu - radius) + 1
+            if work is not None:
+                feasible += 1
+                assert work <= want_work, (a, mu, var, radius)
+        assert feasible >= 40
+        assert time.perf_counter() - start < 20.0
+
+    def test_fewer_pivots_on_the_theorem_3_probes(self):
+        got = [lp_max_two_sided_unimodal(*config).enumerated for config in CRITERION_6_CONFIGS]
+        want = [simplex_max_two_sided_unimodal(*config).enumerated
+                for config in CRITERION_6_CONFIGS]
+        assert all(g <= w for g, w in zip(got, want))
+        assert sum(got) < sum(want)
+
+
 class TestPivotRule:
     @pytest.mark.parametrize(
         "A, cost, artificial_cost, start, end",
@@ -378,6 +444,13 @@ class TestPivotRule:
         basis = list(start)
         assert _run_phase(A, cost, artificial_cost, (1, 1, 1), basis)[3] == 1
         assert basis == end
+
+    def test_pivot_cap_stops_a_cycling_rule(self, monkeypatch):
+        # An entering rule that always offers column 0 pivots it in and out
+        # of its own row forever; the cap of C(1 + 3, 3) = 4 bases stops it.
+        monkeypatch.setattr(extremal, "_entering", lambda *args: 0)
+        with pytest.raises(SoundnessViolationError, match="more pivots than the 4 bases"):
+            _run_phase([(1, 1, 1)], [0], -1, (1, 1, 1), [~0, ~1, ~2])
 
     def test_zero_artificial_leaves_on_a_negative_entry(self):
         # A phase-2 basis holding the artificial of row 0 at zero. Column 2

@@ -71,6 +71,16 @@ MUTANTS = [
            "if d[i] < 0 and basis[i] < 0 and not x[i]:", "if False:", EXTREMAL),
     Mutant("certificate skips the value check", "extremal.py",
            "if sum(obj[j] * x for j, x in solution.items()) != yb:", "if False:", EXTREMAL),
+    # The two-sided oracle's reuse of Farkas vectors across common points.
+    # One stored vector for both sides ("reused vector kept for both
+    # sides") would be an equivalent mutant: a vector that passes the scan
+    # is a certificate wherever it was found, so no result can change, and
+    # on the cases of TestFarkasReuse and of criterion 6 (at its radii and
+    # at 20) no pivot count changes either; sharing adds only failed scans.
+    Mutant("stored vector never tried", "extremal.py",
+           "if farkas is not None and all(", "if False and all(", EXTREMAL),
+    Mutant("tie rule ignores the lower c", "extremal.py",
+           "num * best[1] == best[0] * det and c < best[2]", "False", EXTREMAL),
     # dist_core's one tail table and shape test.
     Mutant("upper cut floor for ceil", "dist_core.py",
            "at_least(math.ceil(mu + a))", "at_least(math.floor(mu + a))", DIST_CORE),

@@ -1,11 +1,11 @@
 """Sharpened Markov/Chebyshev tail bounds for shape-constrained pmfs.
 
-Exact rational arithmetic for the discrete theory, float reference
-formulas for the continuous half-bounds, and two exact LP oracles that
-share no code with the formulas: the closed-form edge of an upper
-concave envelope over decreasing pmfs, which checks the sharpened Markov
-bound and its tightness, and a certified three-row simplex over unimodal
-pmfs, which probes the sharpened Chebyshev bound.  Both emit a
+Exact rational arithmetic for the discrete theory, the continuous
+half-bounds computed exactly and rounded once to a float, and two exact
+LP oracles that share no code with the formulas: the closed-form edge of
+an upper concave envelope over decreasing pmfs, which checks the
+sharpened Markov bound and its tightness, and a certified three-row
+simplex over unimodal pmfs, which probes the sharpened Chebyshev bound.  Both emit a
 (solution, dual, det) certificate for their integer-column LP, and one
 checker verifies it before either returns.
 """

@@ -1,7 +1,7 @@
 """The bound catalogue: classical, continuous-smoothed, and sharpened discrete.
 
-The discrete formulas stay in exact rationals; the continuous ones are
-reference computations over moment summaries and use floats.  Raw
+Every formula is computed in exact rationals.  The continuous ones, over
+moment summaries, round that exact value once to the nearest float.  Raw
 formula values may exceed 1 - clamping is left to presentation layers so
 the algebraic identities between bounds remain exact.
 """
@@ -16,8 +16,8 @@ from .dist_core import (
     Pmf,
     RationalLike,
     ShapeReport,
-    _as_float,
     _moments,
+    _nearest_float,
     _render_rational,
     as_rational,
     check_int,
@@ -108,14 +108,11 @@ def chebyshev_unimodal(var: RationalLike, a: int) -> BoundResult:
 
 
 def markov_continuous_decreasing(mu: RationalLike, a: RationalLike) -> BoundResult:
-    """P(X >= a) <= E[X] / (2a) for continuous X with decreasing density.
-
-    Reads a, then mu, by :func:`_as_float`; the value is mu / a / 2, never forming 2a.
-    """
-    a = check_sign(_as_float(a, "threshold a"), "threshold a", strict=True)
-    mu = check_sign(_as_float(mu, "mean"), "mean")
+    """P(X >= a) <= E[X] / (2a) for continuous X with decreasing density, as the nearest float."""
+    a = check_sign(as_rational(a), "threshold a", strict=True)
+    mu = check_sign(as_rational(mu), "mean")
     return BoundResult(
-        value=mu / a / 2,
+        value=_nearest_float(mu / (2 * a)),
         formula=Formula.MARKOV_CONTINUOUS_DECREASING,
         verified=("a > 0", "E[X] >= 0"),
         asserted=("nonnegative continuous with decreasing density (asserted, not verified)",),
@@ -125,12 +122,12 @@ def markov_continuous_decreasing(mu: RationalLike, a: RationalLike) -> BoundResu
 def chebyshev_continuous_unimodal(var: RationalLike, a: RationalLike) -> BoundResult:
     """P(|X - E[X]| >= a) <= V(X) / (2 a^2) under the half-interval density conditions.
 
-    Reads a, then var, by :func:`_as_float`; the value is var / a / a / 2, never forming a^2.
+    The value is the float nearest V(X) / (2 a^2).
     """
-    a = check_sign(_as_float(a, "threshold a"), "threshold a", strict=True)
-    var = check_sign(_as_float(var, "variance"), "variance")
+    a = check_sign(as_rational(a), "threshold a", strict=True)
+    var = check_sign(as_rational(var), "variance")
     return BoundResult(
-        value=var / a / a / 2,
+        value=_nearest_float(var / (2 * a * a)),
         formula=Formula.CHEBYSHEV_CONTINUOUS_UNIMODAL,
         verified=("a > 0", "V(X) >= 0"),
         asserted=(

@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["discrete", "continuous"], default="discrete")
     p.add_argument("--a", required=True, type=_int_option)
     p.add_argument("--mu", required=True)
-    p.add_argument("--epsilon", type=float)
+    p.add_argument("--epsilon")
     add_float(p)
 
     p = sub.add_parser("verify", help="tightness sweep of the sharpened Markov bound")

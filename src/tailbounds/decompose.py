@@ -142,7 +142,10 @@ def to_uniform_mixture(p: Pmf) -> UniformMixture:
 
 
 def from_uniform_mixture(m: UniformMixture) -> Pmf:
-    """The unique decreasing pmf with P(X = k) = sum_{i >= k} d_i/(i+1)."""
+    """The unique decreasing pmf with P(X = k) = sum_{i >= k} d_i/(i+1).
+
+    Builds max index + 1 weights, so the cost grows with that index, not the atom count.
+    """
     n = max(m.atoms)
     acc = Fraction(0)
     weights = [Fraction(0)] * (n + 1)
@@ -194,7 +197,11 @@ def _level_sets(weights: Sequence[Fraction]) -> Iterator[tuple[int, int, Fractio
 
 
 def from_interval_mixture(m: IntervalMixture) -> Pmf:
-    """Reconstruct the pmf represented by an interval mixture."""
+    """Reconstruct the pmf represented by an interval mixture.
+
+    Builds a weight per point from the lowest to the highest interval end and visits
+    every point of every interval, so the cost grows with the ends, not the atom count.
+    """
     lo = min(l for l, _ in m.atoms)
     hi = max(r for _, r in m.atoms)
     weights = [Fraction(0)] * (hi - lo + 1)
@@ -213,6 +220,7 @@ def flatten_head(p: Pmf, a: int) -> Pmf:
     moves stop once 1..a is flat.  So the end point has p_1..p_a equal to
     h = 2 sum_{k=1..a} k p_k / (a(a+1)) and p_0 holding the rest of the
     mass on {0..a}: decreasing, same mean, tail at a not decreased.
+    Pads the weights to a + 1, so the cost grows with a, whatever the pmf's length.
     """
     check_int(a, "flatten_head threshold", 1)
     if not shape(p).is_decreasing:

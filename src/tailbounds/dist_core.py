@@ -13,13 +13,12 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, TypeVar, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from ._record import Record
 from .errors import ValidationError
 
 RationalLike = Union[int, float, str, Fraction]
-Number = TypeVar("Number", Fraction, float)
 
 # An integer written as text: an optional "-" and ASCII digits, leading zeros allowed.
 INT_PATTERN = r"-?[0-9]+"
@@ -44,8 +43,8 @@ def check_int(value: object, name: str, minimum: Optional[int] = None) -> None:
         raise ValidationError(f"{name} must be an integer{at_least}")
 
 
-def check_sign(value: Number, name: str, strict: bool = False) -> Number:
-    """``value`` if it is > 0 (``strict``) or >= 0, else ValidationError; NaN is neither."""
+def check_sign(value: Fraction, name: str, strict: bool = False) -> Fraction:
+    """``value`` if it is > 0 (``strict``) or >= 0, else ValidationError."""
     if not (value > 0 if strict else value >= 0):
         raise ValidationError(f"{name} must be {'positive' if strict else 'nonnegative'}")
     return value
@@ -86,22 +85,6 @@ def as_rational(value: RationalLike) -> Fraction:
         raise ValidationError(f"not a rational number: {value!r}") from exc
 
 
-def _as_float(value: RationalLike, name: str) -> float:
-    """The float layer's reader: :func:`as_rational`, then the nearest float.
-
-    A nonzero value whose nearest float is 0.0 is refused, so that it is not
-    read as 0 and then refused by a sign check for the wrong reason.
-    """
-    exact = as_rational(value)
-    try:
-        out = float(exact)
-    except OverflowError as exc:
-        raise ValidationError(f"{name} is too large for a float") from exc
-    if exact and not out:
-        raise ValidationError(f"{name} underflows to 0 as a float")
-    return out
-
-
 def _checked_weights(weights: object) -> tuple[Fraction, ...]:
     """pmf weights, a nonempty list or tuple of nonnegative rationals, as a tuple of Fractions."""
     if not isinstance(weights, (list, tuple)):
@@ -113,20 +96,25 @@ def _checked_weights(weights: object) -> tuple[Fraction, ...]:
     return ws
 
 
-def _render_rational(value: Union[Fraction, float], exact: bool) -> Union[str, float]:
-    """JSON form of a result: ``"num/den"``, or a float when not ``exact``.
+def _nearest_float(value: Fraction, name: str = "a result") -> float:
+    """The float nearest ``value``: the one place an exact value becomes a float.
 
-    Float results (the continuous formulas) pass through unchanged when
-    finite; JSON has no infinity, so one past the float range is refused
-    as an exact one is.
+    ``float`` of a Fraction is correctly rounded, so a positive value below
+    the smallest float reads 0.0; one past the float range is refused.
     """
     try:
-        if isinstance(value, Fraction):
-            return str(value) if exact else float(value)
+        return float(value)
     except OverflowError as exc:
-        raise ValidationError("a result is too large for a float") from exc
-    if not math.isfinite(value):
-        raise ValidationError("a result is too large for a float")
+        raise ValidationError(f"{name} is too large for a float") from exc
+
+
+def _render_rational(value: Union[Fraction, float], exact: bool) -> Union[str, float]:
+    """JSON form of a result: ``"num/den"``, or the nearest float when not ``exact``.
+
+    Float results (the continuous formulas) are already rounded and pass through.
+    """
+    if isinstance(value, Fraction):
+        return str(value) if exact else _nearest_float(value)
     return value
 
 
@@ -223,7 +211,7 @@ def make_pmf(offset: int, weights: Sequence[RationalLike]) -> Pmf:
 
 
 def uniform_pmf(lo: int, hi: int) -> Pmf:
-    """Discrete uniform on {lo..hi}."""
+    """Discrete uniform on {lo..hi}: hi - lo + 1 weights, so the cost grows with hi - lo."""
     check_int(lo, "uniform lower end")
     check_int(hi, "uniform upper end")
     if lo > hi:

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction as F
 
@@ -92,6 +91,20 @@ class TestChebyshevUnimodal:
 CONTINUOUS = [markov_continuous_decreasing, chebyshev_continuous_unimodal]
 
 
+def float_case(rng):
+    """(a, mu, epsilon) as floats with 0 < epsilon < a and epsilon/2 <= mu <= a."""
+    a = rng.uniform(1e-3, 1e3)
+    epsilon = rng.uniform(0, a)
+    return a, rng.uniform(epsilon / 2, a), epsilon
+
+
+def rational_case(rng):
+    """(a, mu, epsilon) as Fractions of six-digit terms, scaled by 10**-20..10**20."""
+    a = F(10) ** rng.randint(-20, 20) * F(rng.randint(1, 10**6), rng.randint(1, 10**6))
+    epsilon = a * F(rng.randint(1, 999), 1000)
+    return a, epsilon / 2 + (a - epsilon / 2) * F(rng.randint(0, 1000), 1000), epsilon
+
+
 class TestContinuousFormulas:
     def test_exponential_example(self):
         r = markov_continuous_decreasing(0.5, 1.5)
@@ -131,16 +144,33 @@ class TestContinuousFormulas:
             5e-93, rel=1e-15
         )
 
-    def test_tiny_threshold_gives_inf(self):
-        # a^2 would underflow to 0; the true bound, 5e399, is past the float range.
-        assert chebyshev_continuous_unimodal(1.0, 1e-200).value == math.inf
-
-    @pytest.mark.parametrize("exact", [True, False])
-    def test_infinite_value_refused_as_json(self, exact):
-        # JSON has no infinity: json.dumps would write the non-standard Infinity.
-        result = chebyshev_continuous_unimodal(1.0, 1e-200)
+    def test_result_past_the_float_range_refused(self):
+        # The true bound, 5e399, has no float; JSON has no infinity either.
         with pytest.raises(ValidationError, match="^a result is too large for a float$"):
-            result.to_dict(exact)
+            chebyshev_continuous_unimodal(1, 10**-200)
+
+    def test_inputs_past_the_float_range_read_exactly(self):
+        # Each input is past the float range or rounds to 0.0; the result is not.
+        assert markov_continuous_decreasing(10**400, 10**400).value == 0.5
+        assert markov_continuous_decreasing(F(1, 10**400), F(1, 10**400)).value == 0.5
+        assert chebyshev_continuous_unimodal(10**800, 10**400).value == 0.5
+        assert chebyshev_continuous_unimodal(F(1, 10**800), F(1, 10**400)).value == 0.5
+        assert markov_continuous_decreasing(F(1, 10**400), 1).value == 0.0
+
+    @pytest.mark.parametrize("draw", [float_case, rational_case], ids=["floats", "rationals"])
+    def test_every_float_is_its_formula_rounded_once(self, draw):
+        # The textbook forms in Fractions, then one float(): each result is correctly rounded.
+        rng = random.Random(29)
+        for _ in range(2000):
+            a, mu, epsilon = draw(rng)
+            fa, fmu, feps = F(a), F(mu), F(epsilon)
+            assert markov_continuous_decreasing(mu, a).value == float(fmu / (2 * fa))
+            assert chebyshev_continuous_unimodal(mu, a).value == float(fmu / (2 * fa**2))
+            spec = extremal_markov_continuous(a, mu, epsilon)
+            assert (spec.threshold, spec.epsilon) == (float(fa), float(feps))
+            assert spec.mix_weight == float((fmu - feps / 2) / (fa - feps / 2))
+            assert spec.achieved_tail == float((fmu - feps / 2) / (2 * fa - feps))
+            assert spec.bound_value == float(fmu / (2 * fa))
 
     @pytest.mark.parametrize("formula", CONTINUOUS)
     def test_inputs_read_as_rationals(self, formula):
@@ -150,7 +180,7 @@ class TestContinuousFormulas:
     @pytest.mark.parametrize("args, message", [
         ((True, 2.0), "^not a rational number: True$"),
         ((object(), 2.0), "^not a rational number: <object"),
-        ((1.0, 10**309), "^threshold a is too large for a float$"),
+        ((1.0, F(1, 10**400)), "^a result is too large for a float$"),
     ], ids=["bool", "object", "overflow"])
     def test_inputs_refused(self, formula, args, message):
         with pytest.raises(ValidationError, match=message):
@@ -210,16 +240,26 @@ def test_nonnegative_parameter_takes_zero(call):
 
 
 # The float layer's parameters: a positive value whose nearest float is 0.0
-# is refused by name, not by a sign check that would call it nonpositive.
-@pytest.mark.parametrize("name", [
-    name for name in SIGN_CHECKED
-    if name.startswith(("markov_continuous", "chebyshev_continuous", "extremal_markov_continuous"))
-])
+# is read exactly, so neither its sign check nor its size refuses it; the
+# call fails only where its result has no float or epsilon leaves (0, a).
+UNDERFLOW_OUTCOME = {
+    "markov_continuous_decreasing-a": "a result is too large for a float",
+    "markov_continuous_decreasing-mu": None,
+    "chebyshev_continuous_unimodal-a": "a result is too large for a float",
+    "chebyshev_continuous_unimodal-var": None,
+    "extremal_markov_continuous-a": "epsilon must lie in (0, a)",
+}
+
+
+@pytest.mark.parametrize("name", UNDERFLOW_OUTCOME)
 def test_float_parameter_underflow_message(name):
-    call, message, _ = SIGN_CHECKED[name]
-    with pytest.raises(ValidationError) as excinfo:
-        call(F(1, 10**400))
-    assert str(excinfo.value) == message.split(" must be ")[0] + " underflows to 0 as a float"
+    call = SIGN_CHECKED[name][0]
+    if UNDERFLOW_OUTCOME[name] is None:
+        assert call(F(1, 10**400)).value == 0.0
+    else:
+        with pytest.raises(ValidationError) as excinfo:
+            call(F(1, 10**400))
+        assert str(excinfo.value) == UNDERFLOW_OUTCOME[name]
 
 
 class TestBestBound:

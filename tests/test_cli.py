@@ -243,6 +243,20 @@ class TestExtremalCommand:
             "--epsilon", "0.5",
         ) == (3, "", "error: threshold a is too large for a float\n")
 
+    def test_continuous_epsilon_read_as_a_rational(self, capsys):
+        argv = ["extremal", "--kind", "continuous", "--a", "3", "--mu", "0.75", "--epsilon"]
+        assert run_cli(capsys, *argv, "1/2") == run_cli(capsys, *argv, "0.5")
+
+    def test_continuous_epsilon_below_the_smallest_float(self, capsys):
+        # Read exactly, so it lies in (0, a); it prints as its nearest float, 0.0.
+        code, out, _ = run_cli(
+            capsys, "extremal", "--kind", "continuous", "--a", "1", "--mu", "1/2",
+            "--epsilon", "1e-400",
+        )
+        payload = json.loads(out)
+        assert code == 0 and payload["epsilon"] == 0.0 and payload["p"] == 0.5
+        assert payload["achieved_tail"] == payload["bound_value"] == 0.25
+
     def test_continuous_near_the_float_limit(self, capsys):
         # 2a would overflow to inf and read both values as 0.0.
         code, out, _ = run_cli(
@@ -700,7 +714,7 @@ def cli_argvs(draw):
     elif command == "decompose":
         argv = [*pmf, *choice("--kind", ["uniform", "interval"])]
     elif command == "extremal":
-        epsilon = draw(st.sampled_from(["0.1", "0.5", "1", "0", "-1", "-1e-3", "2"]))
+        epsilon = draw(st.one_of(RATIONAL_TEXT, st.sampled_from(["1/8", "1e-400", "1e400"])))
         argv = [*spaced_or_joined("--a", draw(INT_TEXT)),
                 *spaced_or_joined("--mu", draw(RATIONAL_TEXT)),
                 *choice("--kind", ["discrete", "continuous"]),

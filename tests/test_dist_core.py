@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction as F
@@ -33,7 +34,7 @@ from tailbounds import (
 )
 import tailbounds.dist_core
 from tailbounds.dist_core import (
-    _as_float, _common_denominator, _moments, _threshold_tails, check_sign, read_int,
+    _common_denominator, _moments, _nearest_float, _threshold_tails, check_sign, read_int,
 )
 
 from reference_moments import reference_abs_mean, reference_mean, reference_variance_about
@@ -169,30 +170,38 @@ class TestCheckSign:
             check_sign(value, "x", strict=True)
 
 
+def as_float(value, name="x"):
+    """An input as the epsilon-mixture's threshold and epsilon fields read it."""
+    return _nearest_float(as_rational(value), name)
+
+
 class TestAsFloat:
     @pytest.mark.parametrize("value, expected", [
         (F(1, 3), 1 / 3), ("1/4", 0.25), (10**308, 1e308), (-2.5, -2.5), (F(0), 0.0),
     ])
     def test_nearest_float(self, value, expected):
-        assert _as_float(value, "x") == expected
+        assert as_float(value) == expected
 
     @pytest.mark.parametrize("value", [F(1, 10**400), F(-1, 10**400), "1e-400", F(1, 2**1075)])
     def test_nonzero_value_that_rounds_to_zero(self, value):
-        with pytest.raises(ValidationError, match="^x underflows to 0 as a float$"):
-            _as_float(value, "x")
+        # Correctly rounded, so it reads 0.0 with its sign; it is not refused.
+        assert as_float(value) == 0.0
+        assert math.copysign(1, as_float(value)) == (1 if as_rational(value) > 0 else -1)
 
     def test_smallest_subnormal_is_kept(self):
-        assert _as_float(F(1, 2**1074), "x") == 5e-324
+        assert as_float(F(1, 2**1074)) == 5e-324
 
     @pytest.mark.parametrize("value", [10**309, -(10**309), F(10**400, 3), "1e309"])
     def test_past_the_float_range(self, value):
         with pytest.raises(ValidationError, match="^x is too large for a float$"):
-            _as_float(value, "x")
+            as_float(value)
+        with pytest.raises(ValidationError, match="^a result is too large for a float$"):
+            _nearest_float(as_rational(value))
 
     @pytest.mark.parametrize("value", [True, float("nan"), float("inf"), "x", None])
     def test_not_a_rational(self, value):
         with pytest.raises(ValidationError, match=re.escape(f"not a rational number: {value!r}")):
-            _as_float(value, "x")
+            as_float(value)
 
 
 # Every public entry point that takes an integer, called with True where

@@ -9,7 +9,10 @@ megabyte of modules at import time; value classes derive from
 which ``python -O`` strips: internal invariants raise
 SoundnessViolationError.  Every "must be positive" or "must be
 nonnegative" ValidationError comes from ``dist_core.check_sign``, so
-each sign check reads alike.
+each sign check reads alike.  Every float comes from
+``dist_core._nearest_float``, which rounds an exact result once: no other
+code calls ``float`` or hands it to a call as a converter, so no input is
+read as a float and floats never enter the exact paths.
 """
 import ast
 from pathlib import Path
@@ -127,3 +130,48 @@ def test_sign_messages_come_from_check_sign():
 ])
 def test_sign_rule_reads_literals_and_f_strings(source, found):
     assert sign_messages(ast.parse(source), "m.py") == found
+
+
+def float_uses(tree: ast.AST, where: str) -> list[str]:
+    """``where:line`` of each call outside ``_nearest_float`` that calls ``float`` or passes it.
+
+    ``float(x)`` makes a float; ``type=float`` or ``map(float, xs)`` hands
+    ``float`` to code that makes one.  An annotation names ``float`` in no call.
+    """
+    helper = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_nearest_float"
+        for inner in ast.walk(node)
+    }
+    return [
+        f"{where}:{node.lineno}"
+        for node in ast.walk(tree)
+        if id(node) not in helper and isinstance(node, ast.Call) and any(
+            getattr(expr, "id", None) == "float"
+            for expr in [node.func, *node.args, *(k.value for k in node.keywords)]
+        )
+    ]
+
+
+def test_floats_come_from_nearest_float():
+    found = [
+        line
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line in float_uses(ast.parse(path.read_text(), filename=str(path)), path.name)
+    ]
+    assert found == []
+    assert "def _nearest_float(" in (PACKAGE / "dist_core.py").read_text()
+
+
+@pytest.mark.parametrize("source, found", [
+    ("x = float(y)", ["m.py:1"]),
+    ('def f():\n    return float("inf")', ["m.py:2"]),
+    ('p.add_argument("--epsilon", type=float)', ["m.py:1"]),
+    ("xs = list(map(float, ys))", ["m.py:1"]),
+    ("def _nearest_float(v):\n    return float(v)", []),
+    ("def f(v: float) -> Union[Fraction, float]:\n    return v", []),
+    ("x = math.floor(y)", []),
+])
+def test_float_rule_reads_calls_and_arguments(source, found):
+    assert float_uses(ast.parse(source), "m.py") == found

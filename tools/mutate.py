@@ -118,6 +118,15 @@ MUTANTS = [
     Mutant("tail about the mean one-sided", "cli.py",
            "centre = terms.mean if mode is TailMode.TWO_SIDED else None",
            "centre = terms.mean if mode is TailMode.ONE_SIDED_UPPER else None", DIST_CORE),
+    # The continuous formulas, each computed exactly and rounded once.
+    Mutant("continuous Markov mu / a for mu / (2a)", "bounds.py",
+           "mu / (2 * a)", "mu / a", DIST_CORE),
+    Mutant("continuous Chebyshev 2a for 2a^2", "bounds.py",
+           "2 * a * a", "2 * a", DIST_CORE),
+    Mutant("mix weight without epsilon/2 in its denominator", "extremal.py",
+           "/ (a - epsilon / 2)", "/ a", EXTREMAL),
+    Mutant("epsilon-mixture supremum mu / a for mu / (2a)", "extremal.py",
+           "mu / (2 * a)", "mu / a", EXTREMAL),
     # The one level-set walk behind both decompositions. A pointer that
     # stops on an end weight equal to the level would loop forever, but
     # the walk's len(weights) step bound stops it.

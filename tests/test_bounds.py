@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -144,10 +145,22 @@ class TestContinuousFormulas:
             5e-93, rel=1e-15
         )
 
-    def test_result_past_the_float_range_refused(self):
-        # The true bound, 5e399, has no float; JSON has no infinity either.
+    def test_tiny_threshold_gives_inf(self):
+        # The true bound, 5e399, is past the float range, where the nearest
+        # float is inf: the call refuses it rather than return inf.
+        for var, a in [(1, 10**-200), (1.0, 1e-200)]:
+            with pytest.raises(ValidationError, match="^a result is too large for a float$"):
+                chebyshev_continuous_unimodal(var, a)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_infinite_value_refused_as_json(self, exact):
+        # JSON has no infinity: a bound of 5e307 renders as a finite number,
+        # and one of 5e309, which a float cannot hold, is refused at the call.
+        a = F(1, 10**154)
+        rendered = json.dumps(chebyshev_continuous_unimodal(1, a).to_dict(exact), allow_nan=False)
+        assert json.loads(rendered)["value"] == 5e307
         with pytest.raises(ValidationError, match="^a result is too large for a float$"):
-            chebyshev_continuous_unimodal(1, 10**-200)
+            chebyshev_continuous_unimodal(1, a / 10)
 
     def test_inputs_past_the_float_range_read_exactly(self):
         # Each input is past the float range or rounds to 0.0; the result is not.

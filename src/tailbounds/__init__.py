@@ -12,112 +12,84 @@ checker verifies it before either returns.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    InfeasibleError,
-    ShapeViolationError,
-    SoundnessViolationError,
-    TailBoundsError,
-    ValidationError,
-)
-from .dist_core import (
-    Pmf,
-    ShapeReport,
-    as_rational,
-    make_pmf,
-    mean,
-    point_pmf,
-    shape,
-    tail,
-    two_sided_tail,
-    uniform_pmf,
-    variance,
-)
-from .decompose import (
-    IntervalMixture,
-    UniformMixture,
-    flatten_head,
-    from_interval_mixture,
-    from_uniform_mixture,
-    merge_tail_atoms,
-    mixture_mean,
-    mixture_tail,
-    reduce_three_atoms,
-    to_uniform_mixture,
-    unimodal_to_interval_mixture,
-)
-from .bounds import (
-    BoundResult,
-    Formula,
-    TailMode,
-    best_bound,
-    chebyshev_classical,
-    chebyshev_continuous_unimodal,
-    chebyshev_unimodal,
-    markov_classical,
-    markov_continuous_decreasing,
-    markov_decreasing,
-)
-from .extremal import (
-    ExtremalKind,
-    ExtremalSpec,
-    OracleResult,
-    TightnessRow,
-    extremal_markov_continuous,
-    extremal_markov_discrete,
-    lp_max_tail_decreasing,
-    lp_max_two_sided_unimodal,
-    tightness_rows_to_csv,
-    tightness_rows_to_json,
-    verify_tightness_theorem2,
-)
+# Each submodule and the public names it defines.  Reading a name from
+# the package imports its submodule then (PEP 562), so that
+# ``import tailbounds`` and the CLI's ``--version`` load no submodule.
+_EXPORTS = {
+    "errors": (
+        "InfeasibleError",
+        "ShapeViolationError",
+        "SoundnessViolationError",
+        "TailBoundsError",
+        "ValidationError",
+    ),
+    "dist_core": (
+        "Pmf",
+        "ShapeReport",
+        "as_rational",
+        "make_pmf",
+        "mean",
+        "point_pmf",
+        "shape",
+        "tail",
+        "two_sided_tail",
+        "uniform_pmf",
+        "variance",
+    ),
+    "decompose": (
+        "IntervalMixture",
+        "UniformMixture",
+        "flatten_head",
+        "from_interval_mixture",
+        "from_uniform_mixture",
+        "merge_tail_atoms",
+        "mixture_mean",
+        "mixture_tail",
+        "reduce_three_atoms",
+        "to_uniform_mixture",
+        "unimodal_to_interval_mixture",
+    ),
+    "_modes": ("TailMode",),
+    "bounds": (
+        "BoundResult",
+        "Formula",
+        "best_bound",
+        "chebyshev_classical",
+        "chebyshev_continuous_unimodal",
+        "chebyshev_unimodal",
+        "markov_classical",
+        "markov_continuous_decreasing",
+        "markov_decreasing",
+    ),
+    "extremal": (
+        "ExtremalKind",
+        "ExtremalSpec",
+        "OracleResult",
+        "TightnessRow",
+        "extremal_markov_continuous",
+        "extremal_markov_discrete",
+        "lp_max_tail_decreasing",
+        "lp_max_two_sided_unimodal",
+        "tightness_rows_to_csv",
+        "tightness_rows_to_json",
+        "verify_tightness_theorem2",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BoundResult",
-    "ExtremalKind",
-    "ExtremalSpec",
-    "Formula",
-    "InfeasibleError",
-    "IntervalMixture",
-    "OracleResult",
-    "Pmf",
-    "ShapeReport",
-    "ShapeViolationError",
-    "SoundnessViolationError",
-    "TailBoundsError",
-    "TailMode",
-    "TightnessRow",
-    "UniformMixture",
-    "ValidationError",
-    "as_rational",
-    "best_bound",
-    "chebyshev_classical",
-    "chebyshev_continuous_unimodal",
-    "chebyshev_unimodal",
-    "extremal_markov_continuous",
-    "extremal_markov_discrete",
-    "flatten_head",
-    "from_interval_mixture",
-    "from_uniform_mixture",
-    "lp_max_tail_decreasing",
-    "lp_max_two_sided_unimodal",
-    "make_pmf",
-    "markov_classical",
-    "markov_continuous_decreasing",
-    "markov_decreasing",
-    "mean",
-    "merge_tail_atoms",
-    "mixture_mean",
-    "mixture_tail",
-    "point_pmf",
-    "reduce_three_atoms",
-    "shape",
-    "tail",
-    "tightness_rows_to_csv",
-    "tightness_rows_to_json",
-    "to_uniform_mixture",
-    "two_sided_tail",
-    "uniform_pmf",
-    "unimodal_to_interval_mixture",
-    "variance",
-    "verify_tightness_theorem2",
-]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    """Import the submodule that defines ``name`` and keep the name here."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f"{__name__}.{module}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

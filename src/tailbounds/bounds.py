@@ -11,6 +11,7 @@ import enum
 from fractions import Fraction
 from typing import Union
 
+from ._modes import TailMode
 from ._record import Record, replace
 from .dist_core import (
     Pmf,
@@ -34,11 +35,6 @@ class Formula(enum.Enum):
     CHEBYSHEV_UNIMODAL_DISCRETE = "ChebyshevUnimodalDiscrete"
     MARKOV_CONTINUOUS_DECREASING = "MarkovContinuousDecreasing"
     CHEBYSHEV_CONTINUOUS_UNIMODAL = "ChebyshevContinuousUnimodal"
-
-
-class TailMode(enum.Enum):
-    ONE_SIDED_UPPER = "one-sided"
-    TWO_SIDED = "two-sided"
 
 
 class BoundResult(Record):

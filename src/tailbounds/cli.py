@@ -3,44 +3,30 @@
 Subcommands: ``bound``, ``decompose``, ``extremal``, ``verify``,
 ``sweep``.  Output is JSON; ``bound``, ``verify`` and ``sweep`` take
 ``--format csv`` too, and ``bound`` ``--format plain``.  Exit
-codes: 0 ok, 2 usage, 3 validation, 4 infeasible, 5 soundness
-violation (an oracle beat a proven bound or failed its certificate
-check, or a construction missed its bound, i.e. a bug).
+codes: 0 ok, 1 stdout closed before the output was written, 2 usage,
+3 validation, 4 infeasible, 5 soundness violation (an oracle beat a
+proven bound or failed its certificate check, or a construction missed
+its bound, i.e. a bug).
 """
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
-from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from . import __version__
-from .bounds import BoundResult, TailMode, _bounds_at, _pmf_terms, _PmfTerms
-from .decompose import (
-    to_uniform_mixture,
-    unimodal_to_interval_mixture,
-)
-from .dist_core import (
-    INT_PATTERN,
-    Pmf,
-    _render_rational,
-    _threshold_tails,
-    as_rational,
-    make_pmf,
-    point_pmf,
-    read_int,
-    uniform_pmf,
-)
+from ._modes import TailMode
 from .errors import TailBoundsError, ValidationError
-from .extremal import (
-    extremal_markov_continuous,
-    extremal_markov_discrete,
-    verify_tightness_theorem2,
-    tightness_rows_to_csv,
-    tightness_rows_to_json,
-)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .bounds import BoundResult, _PmfTerms
+    from .dist_core import Pmf
+
+# Each runner imports the library modules it calls when it runs, so a
+# command loads only what it uses and ``--version`` loads none of them.
 
 # Most thresholds one ``--a lo..hi`` range may hold.
 _MAX_RANGE_VALUES = 10_000
@@ -64,6 +50,8 @@ def parse_pmf_literal(text: str) -> Pmf:
 
     Weight tokens are rationals like ``1/2``, ``3`` or ``0.25``.
     """
+    from .dist_core import INT_PATTERN, as_rational, make_pmf, point_pmf, uniform_pmf
+
     kind, sep, body = text.partition(":")
     if not sep:
         raise ValidationError(
@@ -116,6 +104,10 @@ def parse_pmf_literal(text: str) -> Pmf:
 
 
 def _load_pmf(args: argparse.Namespace) -> Pmf:
+    import json
+
+    from .dist_core import Pmf
+
     sources = [s for s in (args.pmf, args.input) if s is not None]
     if len(sources) != 1:
         raise ValidationError("exactly one of --pmf or --input is required")
@@ -139,6 +131,8 @@ def _load_pmf(args: argparse.Namespace) -> Pmf:
 
 
 def _parse_int_range(text: str) -> list[int]:
+    from .dist_core import INT_PATTERN
+
     m = re.fullmatch(rf"({INT_PATTERN})(?:\.\.({INT_PATTERN}))?", text)
     if not m:
         raise ValidationError(f"expected an integer or 'lo..hi' range, got {text!r}")
@@ -155,6 +149,8 @@ def _parse_int_range(text: str) -> list[int]:
 
 def _int_option(text: str) -> int:
     """:func:`read_int` as an argparse type, refused as argparse refuses ``int``."""
+    from .dist_core import read_int
+
     try:
         return read_int(text)
     except ValueError as exc:
@@ -162,6 +158,8 @@ def _int_option(text: str) -> int:
 
 
 def _parse_rational_list(text: str) -> list[Fraction]:
+    from .dist_core import as_rational
+
     return [as_rational(tok.strip()) for tok in text.split(",")]
 
 
@@ -180,6 +178,9 @@ def _tail_rows(
     The CLI's one bound table: shape, moments and tails are computed once
     per pmf, whatever the number of thresholds and the tail ``mode``.
     """
+    from .bounds import _bounds_at, _pmf_terms
+    from .dist_core import _threshold_tails
+
     terms = _pmf_terms(pmf)
     centre = terms.mean if mode is TailMode.TWO_SIDED else None
     tails = _threshold_tails(pmf, thresholds, centre)
@@ -187,6 +188,10 @@ def _tail_rows(
 
 
 def _run_bound(args: argparse.Namespace) -> str:
+    import json
+
+    from .dist_core import _render_rational
+
     mode = TailMode(args.mode)
     terms, [(a, exact_tail, results)] = _tail_rows(_load_pmf(args), [args.a], mode)
     exact = not args.as_float
@@ -213,6 +218,10 @@ def _run_bound(args: argparse.Namespace) -> str:
 
 
 def _run_decompose(args: argparse.Namespace) -> str:
+    import json
+
+    from .decompose import to_uniform_mixture, unimodal_to_interval_mixture
+
     pmf = _load_pmf(args)
     if args.kind == "interval":
         mixture = unimodal_to_interval_mixture(pmf)
@@ -222,6 +231,11 @@ def _run_decompose(args: argparse.Namespace) -> str:
 
 
 def _run_extremal(args: argparse.Namespace) -> str:
+    import json
+
+    from .dist_core import as_rational
+    from .extremal import extremal_markov_continuous, extremal_markov_discrete
+
     mu = as_rational(args.mu)
     if args.kind == "continuous":
         if args.as_float:
@@ -237,6 +251,14 @@ def _run_extremal(args: argparse.Namespace) -> str:
 
 
 def _run_verify(args: argparse.Namespace) -> str:
+    import json
+
+    from .extremal import (
+        tightness_rows_to_csv,
+        tightness_rows_to_json,
+        verify_tightness_theorem2,
+    )
+
     a_values = _parse_int_range(args.a)
     mu_values = _parse_rational_list(args.mu)
     if args.N > _MAX_POINTS:
@@ -254,6 +276,10 @@ def _run_verify(args: argparse.Namespace) -> str:
 
 
 def _run_sweep(args: argparse.Namespace) -> str:
+    import json
+
+    from .dist_core import _render_rational
+
     # No row below a = 1, which has no bound. The range is capped before the pmf is built.
     thresholds = [a for a in _parse_int_range(args.a) if a >= 1]
     _, table = _tail_rows(_load_pmf(args), thresholds, TailMode(args.mode))
@@ -375,7 +401,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return ValidationError.exit_code
-    print(output)
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as ``| head -1`` does.  Point
+        # stdout at devnull so that the flush at exit does not fail again,
+        # and exit 1, as Python does on EPIPE.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

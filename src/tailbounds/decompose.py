@@ -14,7 +14,7 @@ from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence
 
 from ._record import Record
-from .dist_core import Pmf, as_rational, check_int, make_pmf, read_int, shape
+from .dist_core import Pmf, _shown, as_rational, check_int, make_pmf, read_int, shape
 from .errors import ShapeViolationError, SoundnessViolationError, ValidationError
 
 
@@ -111,7 +111,9 @@ def _canonical_atoms(atoms: Mapping, check_key: Callable[[object], None], kind: 
         check_key(key)
         w = as_rational(raw)
         if w < 0:
-            raise ValidationError(f"{kind} weight for atom {key!r} is negative: {w}")
+            raise ValidationError(
+                f"{kind} weight for atom {_shown(key)} is negative: {_shown(w)}"
+            )
         checked.append((key, w))
     canonical = {key: w for key, w in sorted(checked) if w != 0}
     if sum(canonical.values()) != 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
@@ -106,6 +107,19 @@ def _nearest_float(value: Fraction, name: str = "a result") -> float:
         return float(value)
     except OverflowError as exc:
         raise ValidationError(f"{name} is too large for a float") from exc
+
+
+def _shown(value: object) -> str:
+    """``str(value)`` for an error message, or a placeholder past the digit limit.
+
+    ``str`` of an integer, or of a rational or tuple holding one, with more
+    digits than ``sys.get_int_max_str_digits()`` raises ValueError; a
+    message that names such a value says how long it is instead.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        return f"<a number of more than {sys.get_int_max_str_digits()} digits>"
 
 
 def _render_rational(value: Union[Fraction, float], exact: bool) -> Union[str, float]:
@@ -215,7 +229,7 @@ def uniform_pmf(lo: int, hi: int) -> Pmf:
     check_int(lo, "uniform lower end")
     check_int(hi, "uniform upper end")
     if lo > hi:
-        raise ValidationError(f"empty support {{{lo}..{hi}}}")
+        raise ValidationError(f"empty support {{{_shown(lo)}..{_shown(hi)}}}")
     return make_pmf(lo, [1] * (hi - lo + 1))
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence, Union
 from ._record import Record
 from .decompose import IntervalMixture, UniformMixture, mixture_tail
 from .dist_core import (
-    RationalLike, _nearest_float, _render_rational, as_rational, check_int, check_sign,
+    RationalLike, _nearest_float, _render_rational, _shown, as_rational, check_int, check_sign,
 )
 from .errors import InfeasibleError, SoundnessViolationError, ValidationError
 
@@ -91,7 +91,8 @@ def extremal_markov_discrete(a: int, mu: RationalLike) -> ExtremalSpec:
     d_top = 2 * mu / top
     if d_top > 1:
         raise InfeasibleError(
-            f"two-atom construction needs mu <= (2a-1)/2 = {Fraction(top, 2)}; got mu = {mu}"
+            f"two-atom construction needs mu <= (2a-1)/2 = {_shown(Fraction(top, 2))};"
+            f" got mu = {_shown(mu)}"
         )
     mixture = UniformMixture({0: 1 - d_top, top: d_top})
     achieved = mixture_tail(mixture, a)
@@ -211,7 +212,8 @@ def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
     check_int(N, "support cap N", 2 * a)
     if mu <= 0 or 2 * mu > N:
         raise InfeasibleError(
-            f"decreasing pmfs on {{0..{N}}} have mean in (0, {Fraction(N, 2)}]; got mu = {mu}"
+            f"decreasing pmfs on {{0..{_shown(N)}}} have mean in (0, {_shown(Fraction(N, 2))}];"
+            f" got mu = {_shown(mu)}"
         )
     p, q = (2 * mu).numerator, (2 * mu).denominator
     us = [0] * (a - 1) + list(range(N - a + 2))  # us[i] = (i - a + 1)^+
@@ -414,7 +416,8 @@ def lp_max_two_sided_unimodal(
 
     if best is None:
         raise InfeasibleError(
-            f"no unimodal pmf on [{lo}, {hi}] has mean {mu} and variance {var}"
+            f"no unimodal pmf on [{_shown(lo)}, {_shown(hi)}] has mean {_shown(mu)}"
+            f" and variance {_shown(var)}"
         )
     num, det, _, members, solution = best
     atoms = {}

@@ -2,6 +2,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction as F
 from pathlib import Path
@@ -20,6 +23,7 @@ from tailbounds import (
 import tailbounds.bounds
 import tailbounds.cli
 import tailbounds.dist_core
+import tailbounds.extremal
 from tailbounds.cli import _parse_int_range, main, parse_pmf_literal
 
 
@@ -470,10 +474,10 @@ class TestPointCap:
         def refuse(*args):
             raise AssertionError("built before the cap was checked")
 
-        monkeypatch.setattr(tailbounds.cli, "uniform_pmf", refuse)
-        monkeypatch.setattr(tailbounds.cli, "make_pmf", refuse)
+        # The CLI reads these from their modules when it runs.
+        monkeypatch.setattr(tailbounds.dist_core, "uniform_pmf", refuse)
         monkeypatch.setattr(tailbounds.dist_core, "make_pmf", refuse)
-        monkeypatch.setattr(tailbounds.cli, "verify_tightness_theorem2", refuse)
+        monkeypatch.setattr(tailbounds.extremal, "verify_tightness_theorem2", refuse)
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -527,11 +531,17 @@ class TestDigitLimit:
         assert run_cli(capsys, "bound", "--input", str(path), "--a", "1") == (3, "", self.TOO_LONG)
 
     @pytest.mark.parametrize("argv", [
-        ["extremal", "--a", "3", "--mu", "1e5000"],
+        ["extremal", "--a", "3", "--mu", "1e-5000"],
         ["bound", "--pmf", "weights:0;1e3000,1e-3000", "--a", "1"],
     ], ids=["exact-result", "normalized-weights"])
     def test_result_too_long_to_print(self, capsys, argv):
         assert run_cli(capsys, *argv) == (3, "", self.TOO_LONG)
+
+    def test_message_names_a_value_too_long_to_print(self, capsys):
+        assert run_cli(capsys, "extremal", "--a", "3", "--mu", "1e5000") == (
+            4, "", "infeasible: two-atom construction needs mu <= (2a-1)/2 = 5/2;"
+            " got mu = <a number of more than 4300 digits>\n",
+        )
 
     def test_other_value_errors_surface(self, capsys, monkeypatch):
         def broken(args):
@@ -540,6 +550,26 @@ class TestDigitLimit:
         monkeypatch.setattr(tailbounds.cli, "_run_decompose", broken)
         with pytest.raises(ValueError, match="not an int<->str limit"):
             main(["decompose", "--pmf", "point:0"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--pmf", "uniform:0..9", "--a", "3"],
+    ["verify", "--a", "1..20", "--mu", "1,2,3", "--N", "50"],
+], ids=["bound", "verify"])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # The read end is closed before the launch, so the first write fails
+    # with EPIPE however short the output is.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(tailbounds.cli.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tailbounds.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestIntegerText:
@@ -589,7 +619,7 @@ class TestVerifyWorkCap:
         def refuse(*args):
             raise AssertionError("an oracle ran before the cap was checked")
 
-        monkeypatch.setattr(tailbounds.cli, "verify_tightness_theorem2", refuse)
+        monkeypatch.setattr(tailbounds.extremal, "verify_tightness_theorem2", refuse)
         assert run_cli(capsys, "verify", "--a", a, "--mu", "1/2", "--N", N) == (
             3, "", f"error: {message}; at most 66 are allowed\n"
         )

@@ -108,6 +108,22 @@ def test_from_dict_rejects_a_repeated_atom(build, repeated):
 
 
 @pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: UniformMixture({0: "-1e5000", 1: 1}),
+         "mixture weight for atom 0 is negative: <a number of more than 4300 digits>"),
+        (lambda: IntervalMixture({(0, 10**5000): -1}),
+         "interval weight for atom <a number of more than 4300 digits> is negative: -1"),
+    ],
+    ids=["long-weight", "long-key"],
+)
+def test_negative_weight_past_the_digit_limit_named_by_its_size(build, message):
+    with pytest.raises(ValidationError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
     "build, kind",
     [
         (lambda: UniformMixture(5), "mixture"),

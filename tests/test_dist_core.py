@@ -252,6 +252,16 @@ def test_uniform_ends_must_be_integers(lo, hi):
         uniform_pmf(lo, hi)
 
 
+@pytest.mark.parametrize("lo, hi, shown", [
+    (3, 0, "{3..0}"),
+    (10**5000, 0, "{<a number of more than 4300 digits>..0}"),
+], ids=["short", "past-the-digit-limit"])
+def test_empty_uniform_support_named(lo, hi, shown):
+    with pytest.raises(ValidationError) as excinfo:
+        uniform_pmf(lo, hi)
+    assert str(excinfo.value) == f"empty support {shown}"
+
+
 class TestMakePmf:
     def test_point_mass(self):
         p = make_pmf(0, [1])

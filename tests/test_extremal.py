@@ -289,6 +289,45 @@ class TestVerifyTightness:
         assert csv.splitlines()[1] == "2,1/2,1/6,1/6,true"
 
 
+LONG = "<a number of more than 4300 digits>"
+
+
+class TestMessagesPastTheDigitLimit:
+    """An infeasible request names a value past the int<->str limit by its size.
+
+    ``str`` of such a value raises ValueError, so each message would
+    otherwise end in that error instead of InfeasibleError.
+    """
+
+    @pytest.mark.parametrize("call, args, message", [
+        (extremal_markov_discrete, (2, "1e5000"),
+         f"two-atom construction needs mu <= (2a-1)/2 = 3/2; got mu = {LONG}"),
+        (lp_max_tail_decreasing, (1, "1e5000", 2),
+         f"decreasing pmfs on {{0..2}} have mean in (0, 1]; got mu = {LONG}"),
+        (lp_max_two_sided_unimodal, (1, "1e5000", 1, 1),
+         f"no unimodal pmf on [{LONG}, {LONG}] has mean {LONG} and variance 1"),
+        (lp_max_two_sided_unimodal, (1, 0, "1e5000", 1),
+         f"no unimodal pmf on [-1, 1] has mean 0 and variance {LONG}"),
+    ], ids=["discrete-mean", "decreasing-mean", "two-sided-mean", "two-sided-variance"])
+    def test_infeasible(self, call, args, message):
+        with pytest.raises(InfeasibleError) as excinfo:
+            call(*args)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("call, args, message", [
+        (extremal_markov_discrete, (2, 3),
+         "two-atom construction needs mu <= (2a-1)/2 = 3/2; got mu = 3"),
+        (lp_max_tail_decreasing, (1, F(-1, 2), 3),
+         "decreasing pmfs on {0..3} have mean in (0, 3/2]; got mu = -1/2"),
+        (lp_max_two_sided_unimodal, (1, F(1, 2), 100, 1),
+         "no unimodal pmf on [0, 1] has mean 1/2 and variance 100"),
+    ], ids=["discrete", "decreasing", "two-sided"])
+    def test_short_values_written_exactly(self, call, args, message):
+        with pytest.raises(InfeasibleError) as excinfo:
+            call(*args)
+        assert str(excinfo.value) == message
+
+
 def _outcome(oracle, *args):
     try:
         return oracle(*args).max_tail

@@ -13,13 +13,24 @@ each sign check reads alike.  Every float comes from
 ``dist_core._nearest_float``, which rounds an exact result once: no other
 code calls ``float`` or hands it to a call as a converter, so no input is
 read as a float and floats never enter the exact paths.
+
+A launch pays only for the modules it runs: the package resolves its
+public names on first use (PEP 562), and ``cli`` imports at module level
+only what ``--version`` and ``--help`` need.  The subprocess checks at
+the end read ``sys.modules`` after a real launch.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tailbounds"
+import tailbounds
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+PACKAGE = SRC / "tailbounds"
 
 
 def imported_modules(path: Path) -> set[str]:
@@ -175,3 +186,142 @@ def test_floats_come_from_nearest_float():
 ])
 def test_float_rule_reads_calls_and_arguments(source, found):
     assert float_uses(ast.parse(source), "m.py") == found
+
+
+# What cli.py may import at module level: the parser and main() need no
+# library module beyond the errors and the tail modes.
+CLI_MODULE_LEVEL = {
+    "__future__", "argparse", "re", "sys", "typing",
+    "tailbounds.__version__", "tailbounds._modes", "tailbounds.errors",
+}
+
+
+def module_level_imports(statements: list[ast.stmt]) -> set[str]:
+    """Modules imported when the statements run: not in a function body
+    and not under ``if TYPE_CHECKING:``.
+
+    ``from . import x`` counts as ``tailbounds.x``.
+    """
+    names = set()
+    for node in statements:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "tailbounds" if node.level else ""
+            if node.module is None:
+                names.update(f"{base}.{alias.name}" for alias in node.names)
+            else:
+                names.add(".".join(part for part in (base, node.module) if part))
+        elif isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            names |= module_level_imports(node.orelse)
+        else:
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                names |= module_level_imports(getattr(node, field, []))
+    return names
+
+
+def test_cli_imports_only_the_parser_at_module_level():
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    assert module_level_imports(tree.body) <= CLI_MODULE_LEVEL
+
+
+@pytest.mark.parametrize("source, found", [
+    ("import json", {"json"}),
+    ("from .extremal import verify_tightness_theorem2", {"tailbounds.extremal"}),
+    ("from . import __version__", {"tailbounds.__version__"}),
+    ("try:\n    import json\nexcept ImportError:\n    import decimal", {"json", "decimal"}),
+    ("class C:\n    import json", {"json"}),
+    ("if TYPE_CHECKING:\n    from fractions import Fraction\nelse:\n    import json", {"json"}),
+    ("def f():\n    import json", set()),
+    ("if TYPE_CHECKING:\n    from .bounds import BoundResult", set()),
+])
+def test_module_level_rule_reads_nested_statements(source, found):
+    assert module_level_imports(ast.parse(source).body) == found
+
+
+# --- PEP 562: the package's names resolve on first use ---------------------
+
+def test_every_public_name_resolves_to_its_module():
+    for name in tailbounds.__all__:
+        value = getattr(tailbounds, name)
+        module = sys.modules[f"tailbounds.{tailbounds._MODULE_OF[name]}"]
+        assert value is getattr(module, name)
+
+
+def test_dir_lists_every_public_name():
+    assert set(tailbounds.__all__) <= set(dir(tailbounds))
+    assert "__version__" in dir(tailbounds)
+
+
+def test_star_import_binds_the_public_names():
+    namespace: dict = {}
+    exec("from tailbounds import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(tailbounds.__all__)
+
+
+def test_missing_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'tailbounds' has no attribute 'nope'"):
+        tailbounds.nope
+    with pytest.raises(ImportError):
+        exec("from tailbounds import nope", {})
+
+
+def test_tail_mode_is_one_class():
+    import tailbounds._modes
+    import tailbounds.bounds
+
+    assert tailbounds.TailMode is tailbounds.bounds.TailMode is tailbounds._modes.TailMode
+
+
+# --- What a launch loads ---------------------------------------------------
+
+WATCHED = ("fractions", "decimal", "json")
+LAUNCH = """
+import sys
+import tailbounds.cli
+try:
+    code = tailbounds.cli.main()
+except SystemExit as exc:
+    code = exc.code
+sys.stdout.flush()
+sys.stderr.write(repr(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+
+def loaded_after(source: str, *argv: str) -> set[str]:
+    """Package and watched modules loaded once ``source`` has run with ``argv``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", source, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {
+        name for name in ast.literal_eval(proc.stderr)
+        if name.split(".")[0] == "tailbounds" or name in WATCHED
+    }
+
+
+def test_import_loads_no_submodule():
+    source = "import sys, tailbounds; sys.stderr.write(repr(sorted(sys.modules)))"
+    assert loaded_after(source) - set(WATCHED) == {"tailbounds"}
+
+
+def test_version_loads_no_library_module():
+    assert loaded_after(LAUNCH, "--version") == {
+        "tailbounds", "tailbounds.cli", "tailbounds.errors", "tailbounds._modes",
+    }
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["bound", "--pmf", "uniform:0..9", "--a", "3"],
+     {"tailbounds.extremal", "tailbounds.decompose"}),
+    (["decompose", "--pmf", "uniform:0..9", "--kind", "interval"],
+     {"tailbounds.extremal", "tailbounds.bounds"}),
+], ids=["bound", "decompose"])
+def test_command_loads_only_what_it_runs(argv, unused):
+    loaded = loaded_after(LAUNCH, *argv)
+    assert "tailbounds.dist_core" in loaded
+    assert not loaded & unused

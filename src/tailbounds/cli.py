@@ -32,12 +32,11 @@ if TYPE_CHECKING:
 _MAX_RANGE_VALUES = 10_000
 # Most points a ``uniform:l..r`` literal may span, most weights a
 # ``weights:`` literal or ``--input`` file may hold, and the largest
-# ``verify --N``: each is allocated in full, one weight or one oracle
-# column per point.
+# ``verify --N``.
 _MAX_POINTS = 100_000
-# Most oracle columns one ``verify`` run may check: each (a, mu) cell of
-# the grid runs one oracle over N + 1 columns.
-_MAX_VERIFY_COLUMNS = 10_000_000
+# Most (a, mu) cells one ``verify`` grid may hold: each runs one oracle,
+# whose work does not grow with N, and writes one row.
+_MAX_VERIFY_CELLS = 50_000
 
 
 def _check_points(source: str, count: int) -> None:
@@ -264,10 +263,9 @@ def _run_verify(args: argparse.Namespace) -> str:
     if args.N > _MAX_POINTS:
         raise ValidationError(f"--N {args.N} is too large; at most {_MAX_POINTS} is allowed")
     cells = len(a_values) * len(mu_values)
-    if cells * (args.N + 1) > _MAX_VERIFY_COLUMNS:
+    if cells > _MAX_VERIFY_CELLS:
         raise ValidationError(
-            f"verify would check {cells * (args.N + 1)} oracle columns"
-            f" ({cells} (a, mu) cells x {args.N + 1}); at most {_MAX_VERIFY_COLUMNS} are allowed"
+            f"verify grid has {cells} (a, mu) cells; at most {_MAX_VERIFY_CELLS} are allowed"
         )
     rows = verify_tightness_theorem2(a_values, mu_values, args.N)
     if args.format == "csv":
@@ -382,8 +380,38 @@ def _join_option_values(argv: Sequence[str]) -> list[str]:
     return joined
 
 
+def _write(text: str) -> int:
+    """Write ``text`` to stdout and return the exit code: 0, or 1 if stdout is closed."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early, as ``| head -1`` does.  Point
+        # stdout at devnull so that the flush at exit does not fail again,
+        # and exit 1, as Python does on EPIPE.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(_join_option_values(sys.argv[1:] if argv is None else argv))
+    import contextlib
+    import io
+
+    # argparse writes --help and --version itself and drops any OSError,
+    # so their text is caught here and written like every other output.
+    shown = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(shown):
+            args = build_parser().parse_args(
+                _join_option_values(sys.argv[1:] if argv is None else argv)
+            )
+    except SystemExit as exc:
+        if exc.code != 0:
+            raise
+        return _write(shown.getvalue())
     try:
         output = args.run(args)
     except TailBoundsError as exc:
@@ -401,18 +429,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return ValidationError.exit_code
-    try:
-        print(output)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout early, as ``| head -1`` does.  Point
-        # stdout at devnull so that the flush at exit does not fail again,
-        # and exit 1, as Python does on EPIPE.
-        import os
-
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    return 0
+    return _write(output + "\n")
 
 
 if __name__ == "__main__":

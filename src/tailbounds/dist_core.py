@@ -253,7 +253,7 @@ def _common_denominator(p: Pmf) -> tuple[int, list[int]]:
 
     ``den`` is the lcm of the weights' denominators, so every ``nums[i]`` is an int.
     """
-    den = math.lcm(*(w.denominator for w in p.weights))
+    den = math.lcm(*[w.denominator for w in p.weights])
     return den, [w.numerator * (den // w.denominator) for w in p.weights]
 
 

@@ -10,15 +10,19 @@ max obj.u, A u = b, u >= 0 with integer columns, and both emit a
 (solution, dual, det) triple that the one checker,
 :func:`_check_certificate`, verifies before the oracle returns, so a
 wrong envelope edge or pivot surfaces as SoundnessViolationError rather
-than as a wrong value.  The oracles deliberately share no code with the
-bound formulas: agreement between the two routes is the verification.
+than as a wrong value.  The checker's dual step scans every column of
+the two-sided LP; for the decreasing LP, whose dual slack is a quadratic
+on each of two pieces, it checks all N + 1 columns by reading at most
+eight, with work and memory that do not grow with N.  The oracles
+deliberately share no code with the bound formulas: agreement between
+the two routes is the verification.
 """
 from __future__ import annotations
 
 import enum
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ._record import Record
 from .decompose import IntervalMixture, UniformMixture, mixture_tail
@@ -58,10 +62,11 @@ class ExtremalSpec(Record):
 class OracleResult(Record):
     """Outcome of an exact tail-maximization: value, witness, work done.
 
-    ``enumerated`` counts the oracle's work and is deterministic: the
-    columns the certificate checks (N + 1) for the decreasing oracle, and
-    for the two-sided one the simplex pivots summed over the common points
-    the simplex ran on; a point certified by a reused Farkas vector adds none.
+    ``enumerated`` counts the oracle's work and is deterministic: for the
+    decreasing oracle the dual slack evaluations its certificate check
+    made (at most eight, whatever N), and for the two-sided one the
+    simplex pivots summed over the common points the simplex ran on; a
+    point certified by a reused Farkas vector adds none.
     """
 
     max_tail: Fraction
@@ -145,6 +150,48 @@ def _dot(u: Column, v: Column) -> int:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
+class _OnDemand(Sequence):
+    """``n`` entries, entry j built by ``entry(j)`` each time it is read.
+
+    Stands for the columns or objective of an LP that is never built in
+    full: a reader pays only for the entries it reads.
+    """
+
+    def __init__(self, n: int, entry: Callable[[int], object]) -> None:
+        self._n = n
+        self._entry = entry
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, j: int):
+        if not 0 <= j < self._n:
+            raise IndexError(j)
+        return self._entry(j)
+
+
+def _first_failing(
+    A: Sequence[Column],
+    obj: Sequence[int],
+    y: Column,
+    scale: int,
+    columns: Optional[Iterable[int]] = None,
+) -> Optional[int]:
+    """The first column j with y.A_j < scale * obj_j, or None.
+
+    Scans the positions in ``columns`` in their order, or every column of
+    ``A`` when None.  This is the dual step of :func:`_check_certificate`;
+    with ``scale`` 0 it checks a Farkas vector's columns, as the two-sided
+    oracle does for a vector it stored.
+    """
+    y0, y1, y2 = y
+    for j in range(len(A)) if columns is None else columns:
+        a0, a1, a2 = A[j]
+        if y0 * a0 + y1 * a1 + y2 * a2 < scale * obj[j]:
+            return j
+    return None
+
+
 def _check_certificate(
     A: Sequence[Column],
     obj: Sequence[int],
@@ -152,6 +199,7 @@ def _check_certificate(
     y: Column,
     det: int,
     solution: Optional[dict[int, int]],
+    columns: Optional[Sequence[int]] = None,
 ) -> Optional[int]:
     """Return the certified optimum of max obj.u, A u = b, u >= 0, scaled by ``det``.
 
@@ -162,12 +210,17 @@ def _check_certificate(
     ``solution`` None, ``y`` must be a Farkas vector: y.A_j >= 0 on every
     column and y.b < 0, so no u >= 0 solves A u = b, and None is
     returned.  Raises SoundnessViolationError otherwise.
+
+    The dual step, :func:`_first_failing`, reads every column of ``A``
+    unless ``columns`` names the ones to read.  A caller names them only
+    when, for this ``y`` and ``det``, no other column's slack
+    y.A_j - det * obj_j can be below the least of theirs, as
+    :func:`_slack_minima` shows for the decreasing oracle.
     """
-    y0, y1, y2 = y
     scale = 0 if solution is None else det
-    for j, (a0, a1, a2) in enumerate(A):
-        if y0 * a0 + y1 * a1 + y2 * a2 < scale * obj[j]:
-            raise SoundnessViolationError(f"dual certificate fails on column {j}")
+    j = _first_failing(A, obj, y, scale, columns)
+    if j is not None:
+        raise SoundnessViolationError(f"dual certificate fails on column {j}")
     yb = _dot(y, b)
     if solution is None:
         if yb >= 0:
@@ -175,12 +228,38 @@ def _check_certificate(
         return None
     if det <= 0 or any(x < 0 or not 0 <= j < len(A) for j, x in solution.items()):
         raise SoundnessViolationError("primal solution is not a nonnegative basis")
+    basis = [(A[j], obj[j], x) for j, x in solution.items()]
     for i in range(3):
-        if sum(A[j][i] * x for j, x in solution.items()) != det * b[i]:
+        if sum(col[i] * x for col, _, x in basis) != det * b[i]:
             raise SoundnessViolationError(f"primal solution violates constraint row {i}")
-    if sum(obj[j] * x for j, x in solution.items()) != yb:
+    if sum(cost * x for _, cost, x in basis) != yb:
         raise SoundnessViolationError("dual bound differs from the primal value")
     return yb
+
+
+def _slack_minima(a: int, q: int, N: int, y: Column, det: int) -> list[int]:
+    """Where the decreasing LP's dual slack can be least: sorted column positions.
+
+    Column i of that LP is A_i = (i + 1, q i (i + 1), 0) with objective
+    (i - a + 1)^+, so its slack under ``y`` is
+    slack(i) = (i + 1)(y0 + q y1 i) - det (i - a + 1)^+.  That is one
+    integer quadratic c2 i^2 + c1 i + c0 on [0, a - 2] and another on
+    [a - 1, N], both with c2 = q y1.  On each piece the least value at an
+    integer lies at an end or, when c2 > 0, at the floor or ceiling of
+    the real vertex -c1 / (2 c2).  So the slack is nonnegative on all
+    N + 1 columns exactly when it is on these, of which there are at
+    most eight: a vertex outside its piece counts as the nearer end.
+    """
+    c2 = q * y[1]
+    found = set()
+    for lo, hi, c1 in ((0, a - 2, y[0] + c2), (a - 1, N, y[0] + c2 - det)):
+        if lo > hi:
+            continue  # a = 1: no column lies below a - 1
+        found.update((lo, hi))
+        if c2 > 0:
+            for i in (-c1 // (2 * c2), -(c1 // (2 * c2))):  # floor, ceiling
+                found.add(min(max(i, lo), hi))
+    return sorted(found)
 
 
 def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
@@ -203,32 +282,40 @@ def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
     2 mu is [xl, xr] with xr = max(2a - 1, ceil(2 mu)), xl = 0 when
     xr = 2a - 1 and xl = xr - 1 otherwise; N >= 2a keeps xr <= N.  The
     basis is that edge, the dual is the line through it, and both pass
-    :func:`_check_certificate` over all N + 1 columns before the result
-    is returned, so a wrong edge raises SoundnessViolationError, never a
-    wrong value.  Those columns take time and memory linear in N.
+    :func:`_check_certificate` before the result is returned, so a wrong
+    edge raises SoundnessViolationError, never a wrong value.
+
+    No column is built unless the check reads it.  The dual step covers
+    all N + 1 columns by reading only those :func:`_slack_minima` names,
+    so time and memory do not grow with N, and ``enumerated`` counts
+    those slack evaluations.
     """
     check_int(a, "threshold a", 1)
     mu = as_rational(mu)
     check_int(N, "support cap N", 2 * a)
-    if mu <= 0 or 2 * mu > N:
+    two_mu = 2 * mu
+    if mu <= 0 or two_mu > N:
         raise InfeasibleError(
             f"decreasing pmfs on {{0..{_shown(N)}}} have mean in (0, {_shown(Fraction(N, 2))}];"
             f" got mu = {_shown(mu)}"
         )
-    p, q = (2 * mu).numerator, (2 * mu).denominator
-    us = [0] * (a - 1) + list(range(N - a + 2))  # us[i] = (i - a + 1)^+
-    xr = max(2 * a - 1, math.ceil(2 * mu))
+    p, q = two_mu.numerator, two_mu.denominator
+    A = _OnDemand(N + 1, lambda i: (i + 1, q * i * (i + 1), 0))
+    us = _OnDemand(N + 1, lambda i: max(0, i - a + 1))
+    xr = max(2 * a - 1, math.ceil(two_mu))
     xl = 0 if xr == 2 * a - 1 else xr - 1
     det = q * (xl + 1) * (xr + 1) * (xr - xl)
     solution = {xl: (xr + 1) * (q * xr - p), xr: (xl + 1) * (p - q * xl)}
     # The line y0 + y1 x through the edge, scaled by det / q.
-    y1 = us[xr] * (xl + 1) - us[xl] * (xr + 1)
-    y0 = us[xl] * (xr + 1) * (xr - xl) - y1 * xl
-    A = [(i + 1, q * i * (i + 1), 0) for i in range(N + 1)]
-    num = _check_certificate(A, us, (1, p, 0), (q * y0, y1, 0), det, solution)
+    ul, ur = us[xl], us[xr]
+    y1 = ur * (xl + 1) - ul * (xr + 1)
+    y0 = ul * (xr + 1) * (xr - xl) - y1 * xl
+    y = (q * y0, y1, 0)
+    columns = _slack_minima(a, q, N, y, det)
+    num = _check_certificate(A, us, (1, p, 0), y, det, solution, columns)
     atoms = {i: Fraction((i + 1) * x, det) for i, x in solution.items()}
     return OracleResult(
-        max_tail=Fraction(num, det), argmax=UniformMixture(atoms), enumerated=N + 1
+        max_tail=Fraction(num, det), argmax=UniformMixture(atoms), enumerated=len(columns)
     )
 
 
@@ -349,11 +436,12 @@ def lp_max_two_sided_unimodal(
 
     The common points are visited outward from mu, c <= mu going down and
     c > mu going up, and each side keeps the last Farkas vector its
-    simplex found.  b is the same for every c, so that vector still has
-    y.b < 0, and when y.A_j >= 0 on every column of the next c it is that
-    c's certificate and the simplex is skipped.  Far from mu most c are
-    infeasible, and one vector often certifies a run of them.  Every c,
-    reused or not, still passes :func:`_check_certificate`.
+    simplex found and :func:`_check_certificate` accepted.  b is the same
+    for every c, so that vector still has y.b < 0, and when one scan by
+    :func:`_first_failing` finds y.A_j >= 0 on every column of the next c,
+    that scan is c's certificate check and the simplex is skipped.  Far
+    from mu most c are infeasible, and one vector often certifies a run of
+    them.  Every other c passes :func:`_check_certificate`.
 
     Before its loop the oracle builds one column per interval of the window,
     (2N+1)(2N+2)/2 of them at roughly 220 bytes each on 64-bit CPython: memory
@@ -398,15 +486,13 @@ def lp_max_two_sided_unimodal(
             members = [iv for row in by_left[: c - lo + 1] for iv in row[c - row[0][0]:]]
             A = [iv[2] for iv in members]
             obj = [iv[3] for iv in members]
-            if farkas is not None and all(_dot(farkas, col) >= 0 for col in A):
-                solution, y, det = None, farkas, 1
-            else:
-                solution, y, det, count = _simplex(A, obj, b)
-                pivots += count
-                if solution is None:
-                    farkas = y
+            if farkas is not None and _first_failing(A, obj, farkas, 0) is None:
+                continue  # that one scan was c's certificate check
+            solution, y, det, count = _simplex(A, obj, b)
+            pivots += count
             num = _check_certificate(A, obj, b, y, det, solution)
             if num is None:
+                farkas = y
                 continue
             # The side below mu runs downward, so a tie must go to the lower c.
             if best is None or num * best[1] > best[0] * det or (

@@ -10,7 +10,11 @@ that both are right.
 ``hull_max_tail_decreasing`` is the step-by-step form of the decreasing
 oracle's closed-form edge: it builds the upper concave envelope with a
 monotone-chain scan (``_upper_hull``) and takes the edge that brackets
-2mu, as the library oracle did before it picked that edge directly.
+2mu, as the library oracle did before it picked that edge directly.  It
+builds all N + 1 columns (``decreasing_columns``) and checks the line
+through that edge against every one of them, as the library oracle did
+before it read only the columns where the dual slack can be least;
+``decreasing_dual_feasible`` is that full scan on its own.
 
 ``simplex_max_two_sided_unimodal`` is the in-order form of the two-sided
 oracle: it runs the library's simplex on every common point from the
@@ -33,7 +37,7 @@ from tailbounds import (
     as_rational,
 )
 from tailbounds.dist_core import check_int, check_sign
-from tailbounds.extremal import _check_certificate, _simplex
+from tailbounds.extremal import Column, _check_certificate, _simplex
 
 
 def reference_max_tail_decreasing(a: int, mu, N: int) -> OracleResult:
@@ -92,11 +96,47 @@ def _upper_hull(us: Sequence[int]) -> list[int]:
     return hull
 
 
+def decreasing_columns(a: int, q: int, N: int) -> tuple[list[Column], list[int]]:
+    """The decreasing oracle's LP for 2mu = p / q built in full.
+
+    Column i is (i + 1, q i (i + 1), 0) and its objective (i - a + 1)^+,
+    for every i in 0..N.
+    """
+    A = [(i + 1, q * i * (i + 1), 0) for i in range(N + 1)]
+    us = [max(0, i - a + 1) for i in range(N + 1)]
+    return A, us
+
+
+def decreasing_dual_feasible(a: int, q: int, N: int, y: Column, det: int) -> bool:
+    """Whether y.A_i >= det * us_i on every one of the N + 1 columns."""
+    A, us = decreasing_columns(a, q, N)
+    return all(_dot(y, col) >= det * u for col, u in zip(A, us))
+
+
+def hull_certificate(p: int, q: int, us: list[int]) -> tuple[Column, int, dict[int, int]]:
+    """``(y, det, solution)`` for the hull edge [xl, xr] with xl < p / q <= xr.
+
+    ``us`` is the objective of ``decreasing_columns``, and 0 < p / q <=
+    N.  The basis is that edge, with weights scaled by ``det``, and ``y``
+    is the line through it, as the library oracle forms them.
+    """
+    hull = _upper_hull(us)
+    # hull[0] == 0 < p / q <= N == hull[-1], so some edge brackets p / q.
+    k = next(k for k, x in enumerate(hull) if q * x >= p)
+    xl, xr = hull[k - 1], hull[k]
+    det = q * (xl + 1) * (xr + 1) * (xr - xl)
+    solution = {xl: (xr + 1) * (q * xr - p), xr: (xl + 1) * (p - q * xl)}
+    y1 = us[xr] * (xl + 1) - us[xl] * (xr + 1)
+    y0 = us[xl] * (xr + 1) * (xr - xl) - y1 * xl
+    return (q * y0, y1, 0), det, solution
+
+
 def hull_max_tail_decreasing(a: int, mu, N: int) -> OracleResult:
     """The decreasing oracle with its edge taken from a scan of the envelope.
 
     Same LP and same result fields as ``lp_max_tail_decreasing``: the
-    hull edge [xl, xr] with xl < 2mu <= xr carries the optimum, and
+    hull edge [xl, xr] with xl < 2mu <= xr carries the optimum, its
+    certificate passes ``_check_certificate`` over all N + 1 columns, and
     ``enumerated`` is the N + 1 points the scan visits.
     """
     check_int(a, "threshold a", 1)
@@ -107,14 +147,9 @@ def hull_max_tail_decreasing(a: int, mu, N: int) -> OracleResult:
             f"decreasing pmfs on {{0..{N}}} have mean in (0, {Fraction(N, 2)}]; got mu = {mu}"
         )
     p, q = (2 * mu).numerator, (2 * mu).denominator
-    us = [0] * (a - 1) + list(range(N - a + 2))  # us[i] = (i - a + 1)^+
-    hull = _upper_hull(us)
-    # hull[0] == 0 < 2mu <= N == hull[-1], so some edge brackets 2mu.
-    k = next(k for k, x in enumerate(hull) if q * x >= p)
-    xl, xr = hull[k - 1], hull[k]
-    det = q * (xl + 1) * (xr + 1) * (xr - xl)
-    solution = {xl: (xr + 1) * (q * xr - p), xr: (xl + 1) * (p - q * xl)}
-    num = sum(us[i] * x for i, x in solution.items())
+    A, us = decreasing_columns(a, q, N)
+    y, det, solution = hull_certificate(p, q, us)
+    num = _check_certificate(A, us, (1, p, 0), y, det, solution)
     atoms = {i: Fraction((i + 1) * x, det) for i, x in solution.items()}
     return OracleResult(
         max_tail=Fraction(num, det), argmax=UniformMixture(atoms), enumerated=N + 1

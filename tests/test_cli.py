@@ -555,10 +555,14 @@ class TestDigitLimit:
 @pytest.mark.parametrize("argv", [
     ["bound", "--pmf", "uniform:0..9", "--a", "3"],
     ["verify", "--a", "1..20", "--mu", "1,2,3", "--N", "50"],
-], ids=["bound", "verify"])
+    ["--version"],
+    ["--help"],
+    ["bound", "--help"],
+], ids=["bound", "verify", "version", "help", "bound-help"])
 def test_closed_stdout_exits_1_without_a_traceback(argv):
     # The read end is closed before the launch, so the first write fails
-    # with EPIPE however short the output is.
+    # with EPIPE however short the output is.  argparse drops that error
+    # when it writes --help or --version itself.
     read_end, write_end = os.pipe()
     os.close(read_end)
     src = str(Path(tailbounds.cli.__file__).resolve().parent.parent)
@@ -595,37 +599,44 @@ class TestIntegerText:
 
 
 class TestVerifyWorkCap:
-    """A ``verify`` grid's cells times N + 1 is capped at ``_MAX_VERIFY_COLUMNS``."""
+    """A ``verify`` grid holds at most ``_MAX_VERIFY_CELLS`` (a, mu) cells, whatever N."""
 
     @pytest.fixture
     def small_cap(self, monkeypatch):
-        monkeypatch.setattr(tailbounds.cli, "_MAX_VERIFY_COLUMNS", 66)
+        monkeypatch.setattr(tailbounds.cli, "_MAX_VERIFY_CELLS", 6)
 
     @pytest.mark.parametrize("a, mu, N, cells", [
-        ("1..5", "1/2", "12", 5),  # 65 columns
-        ("1..2", "1/2,1,2", "10", 6),  # 66 columns
+        ("1..5", "1/2", "100000", 5),
+        ("1..2", "1/2,1,2", "10", 6),
     ], ids=["below", "at"])
     def test_up_to_the_cap_allowed(self, capsys, small_cap, a, mu, N, cells):
         code, out, _ = run_cli(capsys, "verify", "--a", a, "--mu", mu, "--N", N)
         assert code == 0 and len(json.loads(out)) == cells
 
-    @pytest.mark.parametrize("a, N, message", [
-        ("1", "66", "verify would check 67 oracle columns (1 (a, mu) cells x 67)"),
-        ("1..4", "16", "verify would check 68 oracle columns (4 (a, mu) cells x 17)"),
-    ], ids=["one-cell", "four-cells"])
-    def test_above_the_cap_exits_3_before_any_oracle(
-        self, capsys, small_cap, monkeypatch, a, N, message
-    ):
+    @pytest.fixture
+    def no_oracle(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("an oracle ran before the cap was checked")
 
         monkeypatch.setattr(tailbounds.extremal, "verify_tightness_theorem2", refuse)
-        assert run_cli(capsys, "verify", "--a", a, "--mu", "1/2", "--N", N) == (
-            3, "", f"error: {message}; at most 66 are allowed\n"
+
+    @pytest.mark.parametrize("a, mu", [
+        ("1", "1/2,1,2,3,4,5,6"), ("1..7", "1/2"),
+    ], ids=["one-threshold", "seven-thresholds"])
+    def test_above_the_cap_exits_3_before_any_oracle(self, capsys, small_cap, no_oracle, a, mu):
+        assert run_cli(capsys, "verify", "--a", a, "--mu", mu, "--N", "10") == (
+            3, "", "error: verify grid has 7 (a, mu) cells; at most 6 are allowed\n"
+        )
+
+    def test_one_past_the_documented_cap(self, capsys, no_oracle):
+        # 7143 thresholds x 7 means: 50 001 cells, at the smallest N.
+        mus = ",".join(str(k) for k in range(1, 8))
+        assert run_cli(capsys, "verify", "--a", "1..7143", "--mu", mus, "--N", "2") == (
+            3, "", "error: verify grid has 50001 (a, mu) cells; at most 50000 are allowed\n"
         )
 
     def test_documented_cap(self):
-        assert tailbounds.cli._MAX_VERIFY_COLUMNS == 10_000_000
+        assert tailbounds.cli._MAX_VERIFY_CELLS == 50_000
 
 
 class TestFloatOption:

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -30,9 +31,14 @@ from tailbounds import (
     verify_tightness_theorem2,
 )
 from tailbounds import extremal
-from tailbounds.extremal import _check_certificate, _run_phase, _simplex
+from tailbounds.extremal import (
+    _check_certificate, _first_failing, _run_phase, _simplex, _slack_minima,
+)
 
 from reference_oracles import (
+    decreasing_columns,
+    decreasing_dual_feasible,
+    hull_certificate,
     hull_max_tail_decreasing,
     reference_max_tail_decreasing,
     reference_max_two_sided_unimodal,
@@ -196,12 +202,24 @@ class TestLpMaxTailDecreasing:
                             continue
                         got = lp_max_tail_decreasing(a, two_mu / 2, N)
                         want = hull_max_tail_decreasing(a, two_mu / 2, N)
-                        assert (got.max_tail, got.argmax, got.enumerated) == (
-                            want.max_tail, want.argmax, want.enumerated,
+                        assert (got.max_tail, got.argmax) == (
+                            want.max_tail, want.argmax,
                         ), (a, two_mu, N)
+                        # The reference checks all N + 1 columns; the oracle reads at most 8.
+                        assert got.enumerated <= 8
                         cells += 1
         assert cells > 10_000
         assert time.perf_counter() - start < 10.0
+
+    def test_constant_memory_at_a_million_columns(self):
+        tracemalloc.start()
+        try:
+            res = lp_max_tail_decreasing(5, F(23, 4), 10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.max_tail == F(187, 312)
+        assert peak < 2**20
 
     def test_oracle_never_exceeds_bound_and_widening_does_not_help(self):
         for a, mu in [(2, F(1, 2)), (3, F(5, 4)), (5, F(2)), (7, F(13, 2))]:
@@ -210,6 +228,59 @@ class TestLpMaxTailDecreasing:
             assert base <= bound
             for N in (2 * a + 5, 4 * a, 60):
                 assert lp_max_tail_decreasing(a, mu, N).max_tail <= base
+
+
+class TestSlackMinima:
+    """The decreasing oracle's dual step accepts exactly what a scan of all N + 1 columns does."""
+
+    @staticmethod
+    def accepts(a, q, N, y, det):
+        columns = _slack_minima(a, q, N, y, det)
+        assert len(columns) <= 8 and columns == sorted(set(columns))
+        assert 0 <= columns[0] and columns[-1] <= N
+        A, us = decreasing_columns(a, q, N)
+        got = _first_failing(A, us, y, det, columns) is None
+        assert got == decreasing_dual_feasible(a, q, N, y, det), (a, q, N, y, det)
+        return got
+
+    def test_matches_the_full_scan(self):
+        rng = random.Random(20261020)
+        verdicts = {True: 0, False: 0}
+        leading = set()
+        for a in range(1, 9):
+            for N in (2 * a, 2 * a + 1, 50):
+                for q in (1, 2, 3, 7):
+                    _, us = decreasing_columns(a, q, N)
+                    for k in rng.sample(range(1, N * q + 1), min(6, N * q)):
+                        # The oracle's own dual for 2mu = k / q, then tampered ones.
+                        y, det, _ = hull_certificate(k, q, us)
+                        assert self.accepts(a, q, N, y, det)
+                        y0, y1, _ = y
+                        duals = [((-y0, y1, 0), det), ((y0, -y1, 0), det), (y, -det)]
+                        for d in (-1, 1):
+                            duals += [((y0 + d, y1, 0), det), ((y0, y1 + d, 0), det), (y, det + d)]
+                        size = max(abs(y0), det)
+                        duals += [((rng.randint(-size, size), rng.randint(-9, 9), 0),
+                                   rng.randint(-size, size)) for _ in range(3)]
+                        for y, det in duals:
+                            verdicts[self.accepts(a, q, N, y, det)] += 1
+                            leading.add((y[1] > 0) - (y[1] < 0))
+        assert leading == {-1, 0, 1}
+        assert min(verdicts.values()) > 1000
+
+    @pytest.mark.parametrize("a, y, det, failing", [
+        (1, (230, 2, 0), 275, 11),  # 2i^2 - 43i + 230: vertex 10.75, least at its ceiling
+        (1, (209, 2, 0), 252, 10),  # 2i^2 - 41i + 209: vertex 10.25, least at its floor
+        (1, (-1, 5, 0), 3, 0),  # 5i^2 + i - 1: only i = a - 1 = 0, where the one piece starts
+        # Only i = a - 1 = 2, where the upper piece starts; for a > 1 that
+        # takes det < 0, since with det >= 0 column a fails as well.
+        (3, (10, -6, 0), -400, 2),
+    ], ids=["ceiling", "floor", "a-1-at-0", "a-1-at-2"])
+    def test_a_lone_failing_column_is_found(self, a, y, det, failing):
+        A, us = decreasing_columns(a, 1, 50)
+        slack = [sum(u * v for u, v in zip(y, col)) - det * obj for col, obj in zip(A, us)]
+        assert [i for i, s in enumerate(slack) if s < 0] == [failing]
+        assert _first_failing(A, us, y, det, _slack_minima(a, 1, 50, y, det)) == failing
 
 
 class TestLpMaxTwoSidedUnimodal:
@@ -418,6 +489,9 @@ class TestFarkasReuse:
             (3, F(-7, 3), F(64), 8),  # past any pmf on [-10, 5] with this mean: 506/9
             (1, F(-5, 2), F(1, 4), 1),  # window {-3, -2}, two equal atoms
             (4, F(-5, 3), F(5), 4),  # c = -5 and a higher c tie with different argmaxes
+            # Only c = -2 is feasible; the vector stored at c = -1 fails on one
+            # column there, [-2, -2], the first.
+            (4, F(-2, 3), F(5, 4), 2),
         ]
         rng = random.Random(20261019)
         for radius in range(1, 9):
@@ -429,22 +503,25 @@ class TestFarkasReuse:
         return cases
 
     def test_matches_the_in_order_reference(self, monkeypatch):
-        checked = []
+        passed = []
 
-        def counting_check(*args):
-            checked.append(args)
-            return _check_certificate(*args)
+        def counting_scan(*args):
+            j = _first_failing(*args)
+            if j is None:
+                passed.append(args)
+            return j
 
-        monkeypatch.setattr(extremal, "_check_certificate", counting_check)
+        monkeypatch.setattr(extremal, "_first_failing", counting_scan)
         start = time.perf_counter()
         feasible = 0
         for a, mu, var, radius in self.cases():
             want, want_work = _result_and_work(simplex_max_two_sided_unimodal, a, mu, var, radius)
-            checked.clear()
+            passed.clear()
             got, work = _result_and_work(lp_max_two_sided_unimodal, a, mu, var, radius)
             assert got == want, (a, mu, var, radius)
-            # Every common point in the window passes the one checker.
-            assert len(checked) == math.floor(mu + radius) - math.ceil(mu - radius) + 1
+            # Every common point in the window passes exactly one dual scan:
+            # a stored Farkas vector's, or the one in _check_certificate.
+            assert len(passed) == math.floor(mu + radius) - math.ceil(mu - radius) + 1
             if work is not None:
                 feasible += 1
                 assert work <= want_work, (a, mu, var, radius)

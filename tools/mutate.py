@@ -43,7 +43,7 @@ EXTREMAL = ("test_extremal.py", "test_cli.py")
 DIST_CORE = ("test_dist_core.py", "test_bounds.py", "test_cli.py")
 DECOMPOSE = ("test_decompose.py",)
 
-EDGE = """    xr = max(2 * a - 1, math.ceil(2 * mu))
+EDGE = """    xr = max(2 * a - 1, math.ceil(two_mu))
     xl = 0 if xr == 2 * a - 1 else xr - 1
 """
 
@@ -51,14 +51,21 @@ MUTANTS = [
     # The decreasing oracle's closed-form edge.
     Mutant("edge vertex 2a-2 for 2a-1", "extremal.py", EDGE,
            EDGE.replace("2 * a - 1", "2 * a - 2"), EXTREMAL),
-    Mutant("edge floor for ceil", "extremal.py", "math.ceil(2 * mu)",
-           "math.floor(2 * mu)", EXTREMAL),
-    Mutant("edge xr + 1", "extremal.py", "xr = max(2 * a - 1, math.ceil(2 * mu))",
-           "xr = max(2 * a - 1, math.ceil(2 * mu)) + 1", EXTREMAL),
-    Mutant("edge xr - 1", "extremal.py", "xr = max(2 * a - 1, math.ceil(2 * mu))",
-           "xr = max(2 * a - 1, math.ceil(2 * mu)) - 1", EXTREMAL),
+    Mutant("edge floor for ceil", "extremal.py", "math.ceil(two_mu)",
+           "math.floor(two_mu)", EXTREMAL),
+    Mutant("edge xr + 1", "extremal.py", "xr = max(2 * a - 1, math.ceil(two_mu))",
+           "xr = max(2 * a - 1, math.ceil(two_mu)) + 1", EXTREMAL),
+    Mutant("edge xr - 1", "extremal.py", "xr = max(2 * a - 1, math.ceil(two_mu))",
+           "xr = max(2 * a - 1, math.ceil(two_mu)) - 1", EXTREMAL),
     Mutant("edge xl = xr - 1 always", "extremal.py",
            "xl = 0 if xr == 2 * a - 1 else xr - 1", "xl = xr - 1", EXTREMAL),
+    # The decreasing oracle's dual step: the columns where the slack can be least.
+    Mutant("slack vertex never read", "extremal.py", "if c2 > 0:", "if False:", EXTREMAL),
+    Mutant("slack vertex ceiling dropped", "extremal.py",
+           "for i in (-c1 // (2 * c2), -(c1 // (2 * c2))):",
+           "for i in (-c1 // (2 * c2),):", EXTREMAL),
+    Mutant("upper slack piece starts at a", "extremal.py",
+           "(a - 1, N, y[0] + c2 - det)", "(a, N, y[0] + c2 - det)", EXTREMAL),
     # The two-sided oracle's simplex and the shared certificate check.
     Mutant("Bland leaving tie-break reversed", "extremal.py",
            "basis[i] < basis[leave]", "basis[i] > basis[leave]", EXTREMAL),
@@ -70,7 +77,7 @@ MUTANTS = [
     Mutant("zero artificial rule disabled", "extremal.py",
            "if d[i] < 0 and basis[i] < 0 and not x[i]:", "if False:", EXTREMAL),
     Mutant("certificate skips the value check", "extremal.py",
-           "if sum(obj[j] * x for j, x in solution.items()) != yb:", "if False:", EXTREMAL),
+           "if sum(cost * x for _, cost, x in basis) != yb:", "if False:", EXTREMAL),
     # The two-sided oracle's reuse of Farkas vectors across common points.
     # One stored vector for both sides ("reused vector kept for both
     # sides") would be an equivalent mutant: a vector that passes the scan
@@ -78,7 +85,10 @@ MUTANTS = [
     # on the cases of TestFarkasReuse and of criterion 6 (at its radii and
     # at 20) no pivot count changes either; sharing adds only failed scans.
     Mutant("stored vector never tried", "extremal.py",
-           "if farkas is not None and all(", "if False and all(", EXTREMAL),
+           "if farkas is not None and _first_failing(", "if False and _first_failing(", EXTREMAL),
+    Mutant("reuse scan skips the first column", "extremal.py",
+           "_first_failing(A, obj, farkas, 0)", "_first_failing(A[1:], obj[1:], farkas, 0)",
+           EXTREMAL),
     Mutant("tie rule ignores the lower c", "extremal.py",
            "num * best[1] == best[0] * det and c < best[2]", "False", EXTREMAL),
     # dist_core's one tail table and shape test.

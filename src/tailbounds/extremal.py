@@ -10,19 +10,20 @@ max obj.u, A u = b, u >= 0 with integer columns, and both emit a
 (solution, dual, det) triple that the one checker,
 :func:`_check_certificate`, verifies before the oracle returns, so a
 wrong envelope edge or pivot surfaces as SoundnessViolationError rather
-than as a wrong value.  The checker's dual step scans every column of
-the two-sided LP; for the decreasing LP, whose dual slack is a quadratic
-on each of two pieces, it checks all N + 1 columns by reading at most
-eight, with work and memory that do not grow with N.  The oracles
-deliberately share no code with the bound formulas: agreement between
-the two routes is the verification.
+than as a wrong value.  The checker reads every column it is given.
+The two-sided oracle gives it every column of its LP; the decreasing
+oracle, whose dual slack is a quadratic on each of two pieces, gives it
+only the at most eight columns where that slack can be least, so its
+work and memory do not grow with N.  The oracles deliberately share no
+code with the bound formulas: agreement between the two routes is the
+verification.
 """
 from __future__ import annotations
 
 import enum
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from ._record import Record
 from .decompose import IntervalMixture, UniformMixture, mixture_tail
@@ -63,8 +64,8 @@ class OracleResult(Record):
     """Outcome of an exact tail-maximization: value, witness, work done.
 
     ``enumerated`` counts the oracle's work and is deterministic: for the
-    decreasing oracle the dual slack evaluations its certificate check
-    made (at most eight, whatever N), and for the two-sided one the
+    decreasing oracle the columns its certificate check read (at most
+    eight, whatever N), and for the two-sided one the
     simplex pivots summed over the common points the simplex ran on; a
     point certified by a reused Farkas vector adds none.
     """
@@ -150,44 +151,18 @@ def _dot(u: Column, v: Column) -> int:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-class _OnDemand(Sequence):
-    """``n`` entries, entry j built by ``entry(j)`` each time it is read.
-
-    Stands for the columns or objective of an LP that is never built in
-    full: a reader pays only for the entries it reads.
-    """
-
-    def __init__(self, n: int, entry: Callable[[int], object]) -> None:
-        self._n = n
-        self._entry = entry
-
-    def __len__(self) -> int:
-        return self._n
-
-    def __getitem__(self, j: int):
-        if not 0 <= j < self._n:
-            raise IndexError(j)
-        return self._entry(j)
-
-
 def _first_failing(
-    A: Sequence[Column],
-    obj: Sequence[int],
-    y: Column,
-    scale: int,
-    columns: Optional[Iterable[int]] = None,
+    A: Sequence[Column], obj: Sequence[int], y: Column, scale: int
 ) -> Optional[int]:
-    """The first column j with y.A_j < scale * obj_j, or None.
+    """The first column j of ``A`` with y.A_j < scale * obj_j, or None.
 
-    Scans the positions in ``columns`` in their order, or every column of
-    ``A`` when None.  This is the dual step of :func:`_check_certificate`;
-    with ``scale`` 0 it checks a Farkas vector's columns, as the two-sided
-    oracle does for a vector it stored.
+    This is the dual step of :func:`_check_certificate`; with ``scale`` 0
+    it checks a Farkas vector's columns, as the two-sided oracle does for
+    a vector it stored.
     """
     y0, y1, y2 = y
-    for j in range(len(A)) if columns is None else columns:
-        a0, a1, a2 = A[j]
-        if y0 * a0 + y1 * a1 + y2 * a2 < scale * obj[j]:
+    for j, ((a0, a1, a2), cj) in enumerate(zip(A, obj)):
+        if y0 * a0 + y1 * a1 + y2 * a2 < scale * cj:
             return j
     return None
 
@@ -199,7 +174,6 @@ def _check_certificate(
     y: Column,
     det: int,
     solution: Optional[dict[int, int]],
-    columns: Optional[Sequence[int]] = None,
 ) -> Optional[int]:
     """Return the certified optimum of max obj.u, A u = b, u >= 0, scaled by ``det``.
 
@@ -209,16 +183,11 @@ def _check_certificate(
     bounds every feasible u by that value, which is returned.  With
     ``solution`` None, ``y`` must be a Farkas vector: y.A_j >= 0 on every
     column and y.b < 0, so no u >= 0 solves A u = b, and None is
-    returned.  Raises SoundnessViolationError otherwise.
-
-    The dual step, :func:`_first_failing`, reads every column of ``A``
-    unless ``columns`` names the ones to read.  A caller names them only
-    when, for this ``y`` and ``det``, no other column's slack
-    y.A_j - det * obj_j can be below the least of theirs, as
-    :func:`_slack_minima` shows for the decreasing oracle.
+    returned.  Raises SoundnessViolationError otherwise.  It reads every
+    column of ``A``, and certifies the LP over exactly those columns.
     """
     scale = 0 if solution is None else det
-    j = _first_failing(A, obj, y, scale, columns)
+    j = _first_failing(A, obj, y, scale)
     if j is not None:
         raise SoundnessViolationError(f"dual certificate fails on column {j}")
     yb = _dot(y, b)
@@ -281,14 +250,17 @@ def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
     are 0, then 2a - 1, then every i up to N, and the edge bracketing
     2 mu is [xl, xr] with xr = max(2a - 1, ceil(2 mu)), xl = 0 when
     xr = 2a - 1 and xl = xr - 1 otherwise; N >= 2a keeps xr <= N.  The
-    basis is that edge, the dual is the line through it, and both pass
-    :func:`_check_certificate` before the result is returned, so a wrong
-    edge raises SoundnessViolationError, never a wrong value.
+    basis is that edge, and the dual is the line through it.
 
-    No column is built unless the check reads it.  The dual step covers
-    all N + 1 columns by reading only those :func:`_slack_minima` names,
-    so time and memory do not grow with N, and ``enumerated`` counts
-    those slack evaluations.
+    The certificate is checked on at most eight columns, so time and
+    memory do not grow with N.  The dual slack is least, over all N + 1
+    columns, at one of the positions :func:`_slack_minima` returns.  The
+    oracle builds the LP restricted to those positions and the two basis
+    columns, as plain lists, and :func:`_check_certificate` certifies its
+    optimum; no other column's slack is below the least of the named
+    ones, so the dual is feasible on all N + 1 and that optimum is the
+    whole LP's.  A wrong edge raises SoundnessViolationError, never a
+    wrong value, and ``enumerated`` counts the named columns.
     """
     check_int(a, "threshold a", 1)
     mu = as_rational(mu)
@@ -300,22 +272,25 @@ def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
             f" got mu = {_shown(mu)}"
         )
     p, q = two_mu.numerator, two_mu.denominator
-    A = _OnDemand(N + 1, lambda i: (i + 1, q * i * (i + 1), 0))
-    us = _OnDemand(N + 1, lambda i: max(0, i - a + 1))
     xr = max(2 * a - 1, math.ceil(two_mu))
     xl = 0 if xr == 2 * a - 1 else xr - 1
     det = q * (xl + 1) * (xr + 1) * (xr - xl)
-    solution = {xl: (xr + 1) * (q * xr - p), xr: (xl + 1) * (p - q * xl)}
+    wl, wr = (xr + 1) * (q * xr - p), (xl + 1) * (p - q * xl)
     # The line y0 + y1 x through the edge, scaled by det / q.
-    ul, ur = us[xl], us[xr]
+    ul, ur = max(0, xl - a + 1), max(0, xr - a + 1)
     y1 = ur * (xl + 1) - ul * (xr + 1)
     y0 = ul * (xr + 1) * (xr - xl) - y1 * xl
     y = (q * y0, y1, 0)
-    columns = _slack_minima(a, q, N, y, det)
-    num = _check_certificate(A, us, (1, p, 0), y, det, solution, columns)
-    atoms = {i: Fraction((i + 1) * x, det) for i, x in solution.items()}
+    # A valid edge's xl and xr are among the slack minima; adding them
+    # makes a wrong edge fail the check, not the index lookups below.
+    named = sorted({xl, xr, *_slack_minima(a, q, N, y, det)})
+    A = [(i + 1, q * i * (i + 1), 0) for i in named]
+    us = [max(0, i - a + 1) for i in named]
+    solution = {named.index(xl): wl, named.index(xr): wr}
+    num = _check_certificate(A, us, (1, p, 0), y, det, solution)
+    atoms = {xl: Fraction((xl + 1) * wl, det), xr: Fraction((xr + 1) * wr, det)}
     return OracleResult(
-        max_tail=Fraction(num, det), argmax=UniformMixture(atoms), enumerated=len(columns)
+        max_tail=Fraction(num, det), argmax=UniformMixture(atoms), enumerated=len(named)
     )
 
 
@@ -531,29 +506,25 @@ def verify_tightness_theorem2(
     mus = [as_rational(mu) for mu in mu_grid]
     for a in a_values:
         check_int(a, "threshold a", 1)
+        check_int(N, "support cap N", 2 * a)
         for mu in mus:
             bound = mu / (2 * a - 1)
+            oracle = equal = None
+            note = ""
             try:
                 oracle = lp_max_tail_decreasing(a, mu, N).max_tail
             except InfeasibleError:
-                rows.append(
-                    TightnessRow(
-                        a=a, mu=mu, oracle=None, bound=bound, equal=None,
-                        note=f"infeasible: mean must lie in (0, {Fraction(N, 2)}]",
+                note = f"infeasible: mean must lie in (0, {Fraction(N, 2)}]"
+            else:
+                if oracle > bound:
+                    raise SoundnessViolationError(
+                        f"oracle {oracle} exceeds bound {bound} at a={a}, mu={mu}, N={N}"
                     )
-                )
-                continue
-            if oracle > bound:
-                raise SoundnessViolationError(
-                    f"oracle {oracle} exceeds bound {bound} at a={a}, mu={mu}, N={N}"
-                )
-            feasible_construction = 2 * mu <= 2 * a - 1
+                equal = oracle == bound
+                if 2 * mu > 2 * a - 1:
+                    note = f"two-atom construction infeasible: mu > {Fraction(2 * a - 1, 2)}"
             rows.append(
-                TightnessRow(
-                    a=a, mu=mu, oracle=oracle, bound=bound, equal=oracle == bound,
-                    note="" if feasible_construction
-                    else f"two-atom construction infeasible: mu > {Fraction(2 * a - 1, 2)}",
-                )
+                TightnessRow(a=a, mu=mu, oracle=oracle, bound=bound, equal=equal, note=note)
             )
     return rows
 

@@ -234,12 +234,17 @@ class TestSlackMinima:
     """The decreasing oracle's dual step accepts exactly what a scan of all N + 1 columns does."""
 
     @staticmethod
-    def accepts(a, q, N, y, det):
-        columns = _slack_minima(a, q, N, y, det)
-        assert len(columns) <= 8 and columns == sorted(set(columns))
-        assert 0 <= columns[0] and columns[-1] <= N
+    def first_failing(a, q, N, y, det):
+        """The dual step on the named columns, as plain lists: a column index or None."""
+        named = _slack_minima(a, q, N, y, det)
+        assert len(named) <= 8 and named == sorted(set(named))
+        assert 0 <= named[0] and named[-1] <= N
         A, us = decreasing_columns(a, q, N)
-        got = _first_failing(A, us, y, det, columns) is None
+        j = _first_failing([A[i] for i in named], [us[i] for i in named], y, det)
+        return None if j is None else named[j]
+
+    def accepts(self, a, q, N, y, det):
+        got = self.first_failing(a, q, N, y, det) is None
         assert got == decreasing_dual_feasible(a, q, N, y, det), (a, q, N, y, det)
         return got
 
@@ -280,7 +285,43 @@ class TestSlackMinima:
         A, us = decreasing_columns(a, 1, 50)
         slack = [sum(u * v for u, v in zip(y, col)) - det * obj for col, obj in zip(A, us)]
         assert [i for i, s in enumerate(slack) if s < 0] == [failing]
-        assert _first_failing(A, us, y, det, _slack_minima(a, 1, 50, y, det)) == failing
+        assert self.first_failing(a, 1, 50, y, det) == failing
+
+    def test_the_oracle_checks_exactly_the_named_columns(self, monkeypatch):
+        calls = []
+
+        def recording(*args):
+            calls.append(args)
+            return _check_certificate(*args)
+
+        monkeypatch.setattr(extremal, "_check_certificate", recording)
+        rng = random.Random(20261021)
+        cells = [(5, F(23, 2), 10**6), (1, F(10**6), 10**6), (3, F(1, 7), 10**6)]
+        for _ in range(200):
+            a = rng.randint(1, 8)
+            N = rng.choice([2 * a, 2 * a + 1, 50, 10**6])
+            q = rng.choice([1, 2, 3, 7])
+            cells.append((a, F(rng.randint(1, min(N, 60) * q), q), N))
+        for a, two_mu, N in cells:
+            q = two_mu.denominator
+            calls.clear()
+            res = lp_max_tail_decreasing(a, two_mu / 2, N)
+            [(A, us, b, y, det, solution)] = calls
+            named = _slack_minima(a, q, N, y, det)
+            assert len(named) <= 8
+            assert A == [(i + 1, q * i * (i + 1), 0) for i in named]
+            assert us == [max(0, i - a + 1) for i in named]
+            assert b == (1, two_mu.numerator, 0)
+            # Both basis columns are named, and they bracket 2mu.
+            xl, xr = sorted(named[j] for j in solution)
+            assert xl < two_mu <= xr, (a, q, two_mu, N)
+            assert set(res.argmax.atoms) <= {xl, xr}
+            if N <= 50:
+                _, want_det, want = hull_certificate(
+                    two_mu.numerator, q, decreasing_columns(a, q, N)[1]
+                )
+                assert det == want_det
+                assert {named[j]: x for j, x in solution.items()} == want
 
 
 class TestLpMaxTwoSidedUnimodal:
@@ -348,6 +389,13 @@ class TestVerifyTightness:
     def test_invalid_cap_rejected_when_every_cell_infeasible(self, N):
         with pytest.raises(ValidationError, match="support cap N"):
             verify_tightness_theorem2([5], [1], N)
+
+    def test_invalid_cap_rejected_on_an_empty_mean_grid(self):
+        with pytest.raises(ValidationError, match="support cap N"):
+            verify_tightness_theorem2([1], [], -5)
+        with pytest.raises(ValidationError, match="support cap N"):
+            verify_tightness_theorem2([1, 2], [], 3)  # 3 >= 2 a only for a = 1
+        assert verify_tightness_theorem2([1, 2], [], 4) == []
 
     def test_generator_grid_read_once_for_every_threshold(self):
         rows = verify_tightness_theorem2([1, 2], (m for m in [F(1, 2)]), 10)

@@ -66,6 +66,14 @@ MUTANTS = [
            "for i in (-c1 // (2 * c2),):", EXTREMAL),
     Mutant("upper slack piece starts at a", "extremal.py",
            "(a - 1, N, y[0] + c2 - det)", "(a, N, y[0] + c2 - det)", EXTREMAL),
+    # The columns the decreasing oracle hands the checker: the slack minima
+    # and the basis. Dropping the basis, "{xl, xr, " from the set, would be
+    # an equivalent mutant on every valid edge: both basis columns were
+    # among the slack minima on all 27 976 cells of the hull-scan test's
+    # grid (no N = 200 sampling), so no value, argmax or count can change.
+    Mutant("checked set skips the slack minima", "extremal.py",
+           "named = sorted({xl, xr, *_slack_minima(a, q, N, y, det)})",
+           "named = sorted({xl, xr})", EXTREMAL),
     # The two-sided oracle's simplex and the shared certificate check.
     Mutant("Bland leaving tie-break reversed", "extremal.py",
            "basis[i] < basis[leave]", "basis[i] > basis[leave]", EXTREMAL),

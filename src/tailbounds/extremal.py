@@ -14,9 +14,17 @@ than as a wrong value.  The checker reads every column it is given.
 The two-sided oracle gives it every column of its LP; the decreasing
 oracle, whose dual slack is a quadratic on each of two pieces, gives it
 only the at most eight columns where that slack can be least, so its
-work and memory do not grow with N.  The oracles deliberately share no
-code with the bound formulas: agreement between the two routes is the
-verification.
+work and memory do not grow with N.  A failed dual step names the column
+by the oracle's own label for it: a support index, or an interval (l, r).
+
+The decreasing oracle is one certified core, :func:`_decreasing_cell`,
+which returns the optimum and its edge as integers only after the check
+has passed.  :func:`lp_max_tail_decreasing` wraps that core's integers
+as an :class:`OracleResult`, and :func:`verify_tightness_theorem2` runs
+it once per cell and compares its optimum with the bound in one integer
+cross-multiplication, building no argmax.  The oracles deliberately
+share no code with the bound formulas: agreement between the two routes
+is the verification.
 """
 from __future__ import annotations
 
@@ -174,6 +182,7 @@ def _check_certificate(
     y: Column,
     det: int,
     solution: Optional[dict[int, int]],
+    labels: Sequence[object],
 ) -> Optional[int]:
     """Return the certified optimum of max obj.u, A u = b, u >= 0, scaled by ``det``.
 
@@ -183,13 +192,15 @@ def _check_certificate(
     bounds every feasible u by that value, which is returned.  With
     ``solution`` None, ``y`` must be a Farkas vector: y.A_j >= 0 on every
     column and y.b < 0, so no u >= 0 solves A u = b, and None is
-    returned.  Raises SoundnessViolationError otherwise.  It reads every
-    column of ``A``, and certifies the LP over exactly those columns.
+    returned.  Raises SoundnessViolationError otherwise; a failing dual
+    step names column j by ``labels[j]``, the oracle's own name for it.
+    It reads every column of ``A``, and certifies the LP over exactly
+    those columns.
     """
     scale = 0 if solution is None else det
     j = _first_failing(A, obj, y, scale)
     if j is not None:
-        raise SoundnessViolationError(f"dual certificate fails on column {j}")
+        raise SoundnessViolationError(f"dual certificate fails on column {labels[j]}")
     yb = _dot(y, b)
     if solution is None:
         if yb >= 0:
@@ -231,6 +242,50 @@ def _slack_minima(a: int, q: int, N: int, y: Column, det: int) -> list[int]:
     return sorted(found)
 
 
+def _decreasing_cell(
+    a: int, p: int, q: int, N: int
+) -> Optional[tuple[int, int, int, int, int, int, int]]:
+    """The decreasing oracle's certified cell for 2 mu = p / q, in integers.
+
+    Returns ``(num, det, xl, xr, wl, wr, checked)``: the optimum is
+    num / det, reached on the envelope edge [xl, xr] (see
+    :func:`lp_max_tail_decreasing`) with u_xl = wl / det and
+    u_xr = wr / det, and ``checked`` columns were read.  Returns None when
+    2 mu lies outside (0, N], where no decreasing pmf on {0..N} has that
+    mean.  ``a >= 1``, ``q >= 1`` and ``N >= 2a`` are the caller's to
+    check.
+
+    The certificate is checked on at most eight columns, so time and
+    memory do not grow with N.  The dual slack is least, over all N + 1
+    columns, at one of the positions :func:`_slack_minima` returns.  The
+    LP restricted to those positions and the two basis columns is built
+    as plain lists, and :func:`_check_certificate` certifies its optimum
+    before anything is returned; no other column's slack is below the
+    least of the named ones, so the dual is feasible on all N + 1 and
+    that optimum is the whole LP's.  A wrong edge raises
+    SoundnessViolationError, never a wrong value.
+    """
+    if p <= 0 or p > q * N:
+        return None
+    xr = max(2 * a - 1, -(-p // q))  # ceil(2 mu)
+    xl = 0 if xr == 2 * a - 1 else xr - 1
+    det = q * (xl + 1) * (xr + 1) * (xr - xl)
+    wl, wr = (xr + 1) * (q * xr - p), (xl + 1) * (p - q * xl)
+    # The line y0 + y1 x through the edge, scaled by det / q.
+    ul, ur = max(0, xl - a + 1), max(0, xr - a + 1)
+    y1 = ur * (xl + 1) - ul * (xr + 1)
+    y0 = ul * (xr + 1) * (xr - xl) - y1 * xl
+    y = (q * y0, y1, 0)
+    # A valid edge's xl and xr are among the slack minima; adding them
+    # makes a wrong edge fail the check, not the index lookups below.
+    named = sorted({xl, xr, *_slack_minima(a, q, N, y, det)})
+    A = [(i + 1, q * i * (i + 1), 0) for i in named]
+    us = [max(0, i - a + 1) for i in named]
+    solution = {named.index(xl): wl, named.index(xr): wr}
+    num = _check_certificate(A, us, (1, p, 0), y, det, solution, named)
+    return num, det, xl, xr, wl, wr, len(named)
+
+
 def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
     """Maximize P(X >= a) over decreasing pmfs on {0..N} with mean mu.
 
@@ -252,45 +307,25 @@ def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
     xr = 2a - 1 and xl = xr - 1 otherwise; N >= 2a keeps xr <= N.  The
     basis is that edge, and the dual is the line through it.
 
-    The certificate is checked on at most eight columns, so time and
-    memory do not grow with N.  The dual slack is least, over all N + 1
-    columns, at one of the positions :func:`_slack_minima` returns.  The
-    oracle builds the LP restricted to those positions and the two basis
-    columns, as plain lists, and :func:`_check_certificate` certifies its
-    optimum; no other column's slack is below the least of the named
-    ones, so the dual is feasible on all N + 1 and that optimum is the
-    whole LP's.  A wrong edge raises SoundnessViolationError, never a
-    wrong value, and ``enumerated`` counts the named columns.
+    The certified integers come from :func:`_decreasing_cell`; this
+    function validates its arguments and wraps the cell as an
+    :class:`OracleResult`, and ``enumerated`` counts the columns the
+    certificate check read.
     """
     check_int(a, "threshold a", 1)
     mu = as_rational(mu)
     check_int(N, "support cap N", 2 * a)
     two_mu = 2 * mu
-    if mu <= 0 or two_mu > N:
+    cell = _decreasing_cell(a, two_mu.numerator, two_mu.denominator, N)
+    if cell is None:
         raise InfeasibleError(
             f"decreasing pmfs on {{0..{_shown(N)}}} have mean in (0, {_shown(Fraction(N, 2))}];"
             f" got mu = {_shown(mu)}"
         )
-    p, q = two_mu.numerator, two_mu.denominator
-    xr = max(2 * a - 1, math.ceil(two_mu))
-    xl = 0 if xr == 2 * a - 1 else xr - 1
-    det = q * (xl + 1) * (xr + 1) * (xr - xl)
-    wl, wr = (xr + 1) * (q * xr - p), (xl + 1) * (p - q * xl)
-    # The line y0 + y1 x through the edge, scaled by det / q.
-    ul, ur = max(0, xl - a + 1), max(0, xr - a + 1)
-    y1 = ur * (xl + 1) - ul * (xr + 1)
-    y0 = ul * (xr + 1) * (xr - xl) - y1 * xl
-    y = (q * y0, y1, 0)
-    # A valid edge's xl and xr are among the slack minima; adding them
-    # makes a wrong edge fail the check, not the index lookups below.
-    named = sorted({xl, xr, *_slack_minima(a, q, N, y, det)})
-    A = [(i + 1, q * i * (i + 1), 0) for i in named]
-    us = [max(0, i - a + 1) for i in named]
-    solution = {named.index(xl): wl, named.index(xr): wr}
-    num = _check_certificate(A, us, (1, p, 0), y, det, solution)
+    num, det, xl, xr, wl, wr, checked = cell
     atoms = {xl: Fraction((xl + 1) * wl, det), xr: Fraction((xr + 1) * wr, det)}
     return OracleResult(
-        max_tail=Fraction(num, det), argmax=UniformMixture(atoms), enumerated=len(named)
+        max_tail=Fraction(num, det), argmax=UniformMixture(atoms), enumerated=checked
     )
 
 
@@ -440,32 +475,31 @@ def lp_max_two_sided_unimodal(
     # Substituting w = 2 * len * u makes every constraint coefficient an
     # integer: mass row 2*len, mean row d2*len*(l+r), second-moment row
     # 2*d3*sum(k^2); the objective coefficient is 2 * (# tail points).
-    by_left: list[list[tuple[int, int, Column, int]]] = []
+    by_left: list[list[tuple[tuple[int, int], Column, int]]] = []
     for l in range(lo, hi + 1):
         row = []
         for r in range(l, hi + 1):
             length = r - l + 1
             col = (2 * length, sign * d2 * length * (l + r), 2 * d3 * _sum_of_squares(l, r))
             count = max(0, r - max(l, upper_cut) + 1) + max(0, min(r, lower_cut) - l + 1)
-            row.append((l, r, col, 2 * count))
+            row.append(((l, r), col, 2 * count))
         by_left.append(row)
 
     pivots = 0
-    best: Optional[tuple[int, int, int, list, dict[int, int]]] = None
+    best: Optional[tuple[int, int, int, tuple[tuple[int, int], ...], dict[int, int]]] = None
     below = range(math.floor(mu), lo - 1, -1)
     above = range(math.floor(mu) + 1, hi + 1)
     for side in (below, above):
         farkas: Optional[Column] = None  # the last Farkas vector found on this side
         for c in side:
             # Intervals [l, r] with l <= c <= r, in (l, r) order.
-            members = [iv for row in by_left[: c - lo + 1] for iv in row[c - row[0][0]:]]
-            A = [iv[2] for iv in members]
-            obj = [iv[3] for iv in members]
+            members = [iv for l, row in enumerate(by_left[: c - lo + 1], lo) for iv in row[c - l:]]
+            labels, A, obj = zip(*members)
             if farkas is not None and _first_failing(A, obj, farkas, 0) is None:
                 continue  # that one scan was c's certificate check
             solution, y, det, count = _simplex(A, obj, b)
             pivots += count
-            num = _check_certificate(A, obj, b, y, det, solution)
+            num = _check_certificate(A, obj, b, y, det, solution, labels)
             if num is None:
                 farkas = y
                 continue
@@ -473,17 +507,17 @@ def lp_max_two_sided_unimodal(
             if best is None or num * best[1] > best[0] * det or (
                 num * best[1] == best[0] * det and c < best[2]
             ):
-                best = (num, det, c, members, solution)
+                best = (num, det, c, labels, solution)
 
     if best is None:
         raise InfeasibleError(
             f"no unimodal pmf on [{_shown(lo)}, {_shown(hi)}] has mean {_shown(mu)}"
             f" and variance {_shown(var)}"
         )
-    num, det, _, members, solution = best
+    num, det, _, labels, solution = best
     atoms = {}
     for j, x in solution.items():
-        l, r, _, _ = members[j]
+        l, r = labels[j]
         atoms[(l, r)] = Fraction(2 * (r - l + 1) * x, det)
     return OracleResult(
         max_tail=Fraction(num, det), argmax=IntervalMixture(atoms), enumerated=pivots
@@ -501,31 +535,42 @@ def verify_tightness_theorem2(
     the bound aborts, since that would disprove the bound itself.  A cell
     the oracle finds infeasible (mu outside (0, N/2]) becomes a row with
     no oracle value; invalid a or N raise ValidationError.
+
+    Each cell runs the decreasing oracle's certified core,
+    :func:`_decreasing_cell`, once: a feasible cell passes one
+    :func:`_check_certificate`, and no argmax is built.  With 2 mu = p / q
+    and the optimum num / det, the oracle is above the bound exactly when
+    num * 2q(2a - 1) > p * det and at it exactly when the two are equal:
+    that one integer comparison gives both the soundness check and the
+    ``equal`` flag.
     """
     rows: list[TightnessRow] = []
-    mus = [as_rational(mu) for mu in mu_grid]
+    cells = []
+    for mu in map(as_rational, mu_grid):
+        two_mu = 2 * mu
+        cells.append((mu, two_mu.numerator, two_mu.denominator))
     for a in a_values:
         check_int(a, "threshold a", 1)
         check_int(N, "support cap N", 2 * a)
-        for mu in mus:
-            bound = mu / (2 * a - 1)
-            oracle = equal = None
-            note = ""
-            try:
-                oracle = lp_max_tail_decreasing(a, mu, N).max_tail
-            except InfeasibleError:
-                note = f"infeasible: mean must lie in (0, {Fraction(N, 2)}]"
-            else:
-                if oracle > bound:
-                    raise SoundnessViolationError(
-                        f"oracle {oracle} exceeds bound {bound} at a={a}, mu={mu}, N={N}"
-                    )
-                equal = oracle == bound
-                if 2 * mu > 2 * a - 1:
-                    note = f"two-atom construction infeasible: mu > {Fraction(2 * a - 1, 2)}"
-            rows.append(
-                TightnessRow(a=a, mu=mu, oracle=oracle, bound=bound, equal=equal, note=note)
-            )
+        top = 2 * a - 1
+        infeasible = f"infeasible: mean must lie in (0, {Fraction(N, 2)}]"
+        beyond = f"two-atom construction infeasible: mu > {Fraction(top, 2)}"
+        for mu, p, q in cells:
+            bound = mu / top
+            cell = _decreasing_cell(a, p, q, N)
+            if cell is None:
+                rows.append(TightnessRow(a, mu, None, bound, None, infeasible))
+                continue
+            num, det = cell[0], cell[1]
+            oracle_scaled, bound_scaled = num * 2 * q * top, p * det
+            if oracle_scaled > bound_scaled:
+                raise SoundnessViolationError(
+                    f"oracle {Fraction(num, det)} exceeds bound {bound} at a={a}, mu={mu}, N={N}"
+                )
+            rows.append(TightnessRow(
+                a, mu, Fraction(num, det), bound, oracle_scaled == bound_scaled,
+                beyond if p > q * top else "",
+            ))
     return rows
 
 

@@ -149,7 +149,7 @@ def hull_max_tail_decreasing(a: int, mu, N: int) -> OracleResult:
     p, q = (2 * mu).numerator, (2 * mu).denominator
     A, us = decreasing_columns(a, q, N)
     y, det, solution = hull_certificate(p, q, us)
-    num = _check_certificate(A, us, (1, p, 0), y, det, solution)
+    num = _check_certificate(A, us, (1, p, 0), y, det, solution, range(N + 1))
     atoms = {i: Fraction((i + 1) * x, det) for i, x in solution.items()}
     return OracleResult(
         max_tail=Fraction(num, det), argmax=UniformMixture(atoms), enumerated=N + 1
@@ -362,7 +362,7 @@ def simplex_max_two_sided_unimodal(a: int, mu, var, N: int) -> OracleResult:
         obj = [iv[3] for iv in members]
         solution, y, det, count = _simplex(A, obj, b)
         pivots += count
-        num = _check_certificate(A, obj, b, y, det, solution)
+        num = _check_certificate(A, obj, b, y, det, solution, [iv[:2] for iv in members])
         if num is None:
             continue
         if best is None or num * best[1] > best[0] * det:

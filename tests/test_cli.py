@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -13,8 +14,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tailbounds import (
-    OracleResult,
-    UniformMixture,
     ValidationError,
     make_pmf,
     point_pmf,
@@ -307,13 +306,28 @@ class TestVerifyCommand:
         assert code == 3 and out == ""
         assert "support cap N must be an integer >= 10" in err
 
+    # sha256 of the whole stdout of one grid, so that no row, note or digit
+    # of verify's output can change unseen: every a in 1..30 against means
+    # inside and beyond the two-atom range, at and past N/2, and below 0.
+    @pytest.mark.parametrize("fmt, digest", [
+        ("json", "88dcc320d88853bc9f7830ab9a2e494cf34d92b3ea061d94939f45813b007c35"),
+        ("csv", "037edf7f89506cd6000bad8316e77db45625aed5b0150fe2dfb5181c95d121df"),
+    ], ids=["json", "csv"])
+    def test_pinned_grid_bytes(self, capsys, fmt, digest):
+        code, out, err = run_cli(
+            capsys, "verify", "--a", "1..30", "--mu", "1/2,1,3/2,7/3,4,11/7,30,99/2,-1",
+            "--N", "60", "--format", fmt,
+        )
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_oracle_above_bound_exits_5(self, capsys, monkeypatch):
         import tailbounds.extremal
 
-        def faulty_oracle(a, mu, N):
-            return OracleResult(max_tail=F(1), argmax=UniformMixture({0: F(1)}), enumerated=0)
+        def faulty_core(a, p, q, N):
+            return 1, 1, 0, 1, 0, 1, 2  # a tail of 1, far above the bound 1/6
 
-        monkeypatch.setattr(tailbounds.extremal, "lp_max_tail_decreasing", faulty_oracle)
+        monkeypatch.setattr(tailbounds.extremal, "_decreasing_cell", faulty_core)
         code, out, err = run_cli(capsys, "verify", "--a", "2", "--mu", "1/2", "--N", "10")
         assert code == 5 and out == ""
         assert err.startswith("soundness violation: ") and err.count("\n") == 1

@@ -11,6 +11,7 @@ from tailbounds import (
     ExtremalKind,
     InfeasibleError,
     SoundnessViolationError,
+    TightnessRow,
     UniformMixture,
     ValidationError,
     chebyshev_unimodal,
@@ -306,9 +307,9 @@ class TestSlackMinima:
             q = two_mu.denominator
             calls.clear()
             res = lp_max_tail_decreasing(a, two_mu / 2, N)
-            [(A, us, b, y, det, solution)] = calls
+            [(A, us, b, y, det, solution, labels)] = calls
             named = _slack_minima(a, q, N, y, det)
-            assert len(named) <= 8
+            assert len(named) <= 8 and labels == named
             assert A == [(i + 1, q * i * (i + 1), 0) for i in named]
             assert us == [max(0, i - a + 1) for i in named]
             assert b == (1, two_mu.numerator, 0)
@@ -322,6 +323,52 @@ class TestSlackMinima:
                 )
                 assert det == want_det
                 assert {named[j]: x for j, x in solution.items()} == want
+
+
+class TestCertificateLabels:
+    """A failing dual step names the column as its oracle does, not by its list position."""
+
+    @staticmethod
+    def tamper(monkeypatch, change):
+        """Run each of the oracles' certificate checks on ``change(y)`` for the dual y."""
+        seen = []
+
+        def tampered(A, obj, b, y, det, solution, labels):
+            y = change(y)
+            seen.append((A, obj, y, 0 if solution is None else det, labels))
+            return _check_certificate(A, obj, b, y, det, solution, labels)
+
+        monkeypatch.setattr(extremal, "_check_certificate", tampered)
+        return seen
+
+    @pytest.mark.parametrize("call", [
+        lambda: lp_max_tail_decreasing(3, 7, 50),
+        lambda: verify_tightness_theorem2([3], [7], 50),
+    ], ids=["oracle", "verify"])
+    def test_decreasing_names_the_support_index(self, monkeypatch, call):
+        seen = self.tamper(monkeypatch, lambda y: (y[0], y[1] - 1, 0))
+        with pytest.raises(SoundnessViolationError) as excinfo:
+            call()
+        # The line through the edge [13, 14], tilted down.  Of the columns
+        # checked, 13 is the first whose slack is negative, at position 3.
+        assert str(excinfo.value) == "dual certificate fails on column 13"
+        [(A, obj, y, scale, labels)] = seen
+        assert labels == [0, 1, 2, 13, 14, 50]
+        assert _first_failing(A, obj, y, scale) == 3
+        assert (A[3], obj[3]) == ((14, 13 * 14, 0), 11)  # column 13: (i + 1, q i (i + 1), 0)
+
+    def test_two_sided_names_the_interval(self, monkeypatch):
+        seen = self.tamper(monkeypatch, lambda y: (y[0] - 1, y[1], y[2]))
+        with pytest.raises(SoundnessViolationError) as excinfo:
+            lp_max_two_sided_unimodal(1, 0, 1, 2)
+        # The first common point, c = 0: the interval [-2, 1] is tight in
+        # its optimum, so lowering the dual's mass entry fails it first.
+        assert str(excinfo.value) == "dual certificate fails on column (-2, 1)"
+        [(A, obj, y, scale, labels)] = seen
+        j = _first_failing(A, obj, y, scale)
+        assert (j, labels[j]) == (1, (-2, 1))
+        # 4 points with sum -2 and sum of squares 6, each row scaled by 2 / len.
+        assert A[j] == (8, -4, 12)
 
 
 class TestLpMaxTwoSidedUnimodal:
@@ -400,6 +447,85 @@ class TestVerifyTightness:
     def test_generator_grid_read_once_for_every_threshold(self):
         rows = verify_tightness_theorem2([1, 2], (m for m in [F(1, 2)]), 10)
         assert [(r.a, r.mu) for r in rows] == [(1, F(1, 2)), (2, F(1, 2))]
+
+    @staticmethod
+    def reference_rows(a, mus, N):
+        """verify's rows for one threshold, cell by cell from the hull-scan oracle."""
+        rows = []
+        for mu in mus:
+            bound = mu / (2 * a - 1)
+            try:
+                oracle = hull_max_tail_decreasing(a, mu, N).max_tail
+            except InfeasibleError:
+                note = f"infeasible: mean must lie in (0, {F(N, 2)}]"
+                rows.append(TightnessRow(
+                    a=a, mu=mu, oracle=None, bound=bound, equal=None, note=note,
+                ))
+                continue
+            assert oracle <= bound, (a, mu, N)
+            note = ""
+            if 2 * mu > 2 * a - 1:
+                note = f"two-atom construction infeasible: mu > {F(2 * a - 1, 2)}"
+            rows.append(TightnessRow(
+                a=a, mu=mu, oracle=oracle, bound=bound, equal=oracle == bound, note=note,
+            ))
+        return rows
+
+    def test_rows_match_the_hull_scan_cell_by_cell(self):
+        rng = random.Random(20261022)
+        seen = set()
+        for a in range(1, 11):
+            top = 2 * a - 1
+            for N in (2 * a, 2 * a + 1, 50, 1000):
+                mus = []
+                for q in (1, 2, 3, 7):
+                    # 2mu = k / q: at and below 0, around 2a - 1 and N, and a few between.
+                    ks = {-q, 0, 1, q * top - 1, q * top, q * top + 1, q * N - 1, q * N, q * N + 1}
+                    ks.update(rng.sample(range(1, q * N), min(4, q * N - 1)))
+                    mus += [F(k, 2 * q) for k in sorted(ks)]
+                rows = verify_tightness_theorem2([a], mus, N)
+                assert rows == self.reference_rows(a, mus, N), (a, N)
+                for mu in mus:
+                    seen.add("at most 0" if mu <= 0 else "2a - 1" if 2 * mu == top else
+                             "N" if 2 * mu == N else "just above N" if 0 < 2 * mu - N < 1 else "")
+        assert seen >= {"at most 0", "2a - 1", "N", "just above N"}
+
+    def test_one_certificate_check_per_feasible_cell(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _check_certificate(*args)
+
+        monkeypatch.setattr(extremal, "_check_certificate", counting)
+        mus = [F(-1), F(0), F(1, 3), F(1, 2), F(5, 2), F(7), F(19, 2), F(10), F(21, 2), F(11)]
+        rows = verify_tightness_theorem2(range(1, 6), mus, 20)
+        feasible = sum(row.oracle is not None for row in rows)
+        assert 0 < feasible < len(rows) == 50
+        assert len(calls) == feasible
+
+    @staticmethod
+    def fake_core(monkeypatch, num, det):
+        """Make the certified core return the optimum num / det for every cell."""
+
+        def core(a, p, q, N):
+            return num, det, 0, 3, 0, 0, 0  # verify reads only num and det
+
+        monkeypatch.setattr(extremal, "_decreasing_cell", core)
+
+    @pytest.mark.parametrize("num, det", [(1, 1), (1_000_001, 6_000_000)], ids=["far", "just"])
+    def test_core_above_the_bound_raises(self, monkeypatch, num, det):
+        self.fake_core(monkeypatch, num, det)
+        with pytest.raises(SoundnessViolationError) as excinfo:
+            verify_tightness_theorem2([2], [F(1, 2)], 10)
+        want = f"oracle {F(num, det)} exceeds bound 1/6 at a=2, mu=1/2, N=10"
+        assert str(excinfo.value) == want
+
+    @pytest.mark.parametrize("num, det, equal", [(1, 6, True), (999_999, 6_000_000, False)])
+    def test_core_at_or_below_the_bound_passes(self, monkeypatch, num, det, equal):
+        self.fake_core(monkeypatch, num, det)
+        [row] = verify_tightness_theorem2([2], [F(1, 2)], 10)
+        assert (row.oracle, row.bound, row.equal) == (F(num, det), F(1, 6), equal)
 
     def test_csv_shape(self):
         rows = verify_tightness_theorem2([2], [F(1, 2)], 10)
@@ -627,25 +753,26 @@ class TestCertificates:
     # Point masses at 0, 1 and 2 in (mass, mean, second moment) rows.
     A = [(1, 0, 0), (1, 1, 1), (1, 2, 4)]
     obj = [1, 0, 1]
+    labels = [0, 1, 2]
 
     def test_simplex_certificate_accepted_and_tampering_rejected(self):
         b = (1, 1, 2)  # mean 1, second moment 2: only {0: 1/2, 2: 1/2}
         solution, y, det, _ = _simplex(self.A, self.obj, b)
         assert {j: F(x, det) for j, x in solution.items() if x} == {0: F(1, 2), 2: F(1, 2)}
-        _check_certificate(self.A, self.obj, b, y, det, solution)
+        _check_certificate(self.A, self.obj, b, y, det, solution, self.labels)
         for bad_y in ((y[0] - 1, y[1], y[2]), (y[0], y[1] + 1, y[2]), (y[0], y[1], y[2] - 1)):
             with pytest.raises(SoundnessViolationError):
-                _check_certificate(self.A, self.obj, b, bad_y, det, solution)
+                _check_certificate(self.A, self.obj, b, bad_y, det, solution, self.labels)
         with pytest.raises(SoundnessViolationError):
-            _check_certificate(self.A, self.obj, b, y, det, {0: det, 2: 0})
+            _check_certificate(self.A, self.obj, b, y, det, {0: det, 2: 0}, self.labels)
 
     def test_farkas_certificate_accepted_and_tampering_rejected(self):
         b = (1, 3, 9)  # mean 3 lies outside {0, 1, 2}
         solution, y, det, _ = _simplex(self.A, self.obj, b)
         assert solution is None
-        _check_certificate(self.A, self.obj, b, y, det, None)
+        _check_certificate(self.A, self.obj, b, y, det, None, self.labels)
         with pytest.raises(SoundnessViolationError):
-            _check_certificate(self.A, self.obj, b, (-y[0], -y[1], -y[2]), det, None)
+            _check_certificate(self.A, self.obj, b, (-y[0], -y[1], -y[2]), det, None, self.labels)
 
     def test_line_certificate_accepted_and_tampering_rejected(self):
         # a = 1, N = 3, 2mu = p/q = 3/2: columns (i + 1, q i (i + 1), 0) over
@@ -656,13 +783,14 @@ class TestCertificates:
         # The hull edge {1, 2}: d = {1: 1/2, 2: 1/2} scaled by det = 12, and
         # the line (2 + x) / 6 through (1, 1/2) and (2, 2/3) as y = (q * 2, 1, 0).
         edge, y = {1: 3, 2: 2}, (4, 1, 0)
-        assert F(_check_certificate(A, us, b, y, 12, edge), 12) == F(7, 12)
+        labels = range(4)
+        assert F(_check_certificate(A, us, b, y, 12, edge, labels), 12) == F(7, 12)
         res = lp_max_tail_decreasing(1, F(3, 4), 3)
         assert res.max_tail == F(7, 12)
         assert dict(res.argmax.atoms) == {1: F(1, 2), 2: F(1, 2)}
         # The chord {0, 3}: d = {0: 1/2, 3: 1/2} scaled by det = 24.
         chord = {0: 12, 3: 3}
         with pytest.raises(SoundnessViolationError, match="differs"):
-            _check_certificate(A, us, b, (8, 2, 0), 24, chord)  # feasible, not tight
+            _check_certificate(A, us, b, (8, 2, 0), 24, chord, labels)  # feasible, not tight
         with pytest.raises(SoundnessViolationError, match="column 1"):
-            _check_certificate(A, us, b, (0, 3, 0), 24, chord)  # y(1) = 1/4 < 1/2
+            _check_certificate(A, us, b, (0, 3, 0), 24, chord, labels)  # y(1) = 1/4 < 1/2

@@ -43,7 +43,7 @@ EXTREMAL = ("test_extremal.py", "test_cli.py")
 DIST_CORE = ("test_dist_core.py", "test_bounds.py", "test_cli.py")
 DECOMPOSE = ("test_decompose.py",)
 
-EDGE = """    xr = max(2 * a - 1, math.ceil(two_mu))
+EDGE = """    xr = max(2 * a - 1, -(-p // q))  # ceil(2 mu)
     xl = 0 if xr == 2 * a - 1 else xr - 1
 """
 
@@ -51,12 +51,12 @@ MUTANTS = [
     # The decreasing oracle's closed-form edge.
     Mutant("edge vertex 2a-2 for 2a-1", "extremal.py", EDGE,
            EDGE.replace("2 * a - 1", "2 * a - 2"), EXTREMAL),
-    Mutant("edge floor for ceil", "extremal.py", "math.ceil(two_mu)",
-           "math.floor(two_mu)", EXTREMAL),
-    Mutant("edge xr + 1", "extremal.py", "xr = max(2 * a - 1, math.ceil(two_mu))",
-           "xr = max(2 * a - 1, math.ceil(two_mu)) + 1", EXTREMAL),
-    Mutant("edge xr - 1", "extremal.py", "xr = max(2 * a - 1, math.ceil(two_mu))",
-           "xr = max(2 * a - 1, math.ceil(two_mu)) - 1", EXTREMAL),
+    Mutant("edge floor for ceil", "extremal.py", "-(-p // q)", "p // q", EXTREMAL),
+    Mutant("edge xr + 1", "extremal.py", "xr = max(2 * a - 1, -(-p // q))",
+           "xr = max(2 * a - 1, -(-p // q)) + 1", EXTREMAL),
+    Mutant("edge xr - 1", "extremal.py", "xr = max(2 * a - 1, -(-p // q))",
+           "xr = max(2 * a - 1, -(-p // q)) - 1", EXTREMAL),
+    Mutant("2mu = N infeasible", "extremal.py", "p > q * N", "p >= q * N", EXTREMAL),
     Mutant("edge xl = xr - 1 always", "extremal.py",
            "xl = 0 if xr == 2 * a - 1 else xr - 1", "xl = xr - 1", EXTREMAL),
     # The decreasing oracle's dual step: the columns where the slack can be least.
@@ -74,6 +74,14 @@ MUTANTS = [
     Mutant("checked set skips the slack minima", "extremal.py",
            "named = sorted({xl, xr, *_slack_minima(a, q, N, y, det)})",
            "named = sorted({xl, xr})", EXTREMAL),
+    # The verify grid's one integer comparison of oracle and bound: num / det
+    # against p / (2q (2a - 1)), cross-multiplied.
+    Mutant("soundness test >= for >", "extremal.py",
+           "if oracle_scaled > bound_scaled:", "if oracle_scaled >= bound_scaled:", EXTREMAL),
+    Mutant("equal from >=, the bound merely holding", "extremal.py",
+           "oracle_scaled == bound_scaled", "bound_scaled >= oracle_scaled", EXTREMAL),
+    Mutant("bound scale without its factor 2", "extremal.py",
+           "num * 2 * q * top", "num * q * top", EXTREMAL),
     # The two-sided oracle's simplex and the shared certificate check.
     Mutant("Bland leaving tie-break reversed", "extremal.py",
            "basis[i] < basis[leave]", "basis[i] > basis[leave]", EXTREMAL),
@@ -86,6 +94,8 @@ MUTANTS = [
            "if d[i] < 0 and basis[i] < 0 and not x[i]:", "if False:", EXTREMAL),
     Mutant("certificate skips the value check", "extremal.py",
            "if sum(cost * x for _, cost, x in basis) != yb:", "if False:", EXTREMAL),
+    Mutant("failing column named by its list position", "extremal.py",
+           "fails on column {labels[j]}", "fails on column {j}", EXTREMAL),
     # The two-sided oracle's reuse of Farkas vectors across common points.
     # One stored vector for both sides ("reused vector kept for both
     # sides") would be an equivalent mutant: a vector that passes the scan

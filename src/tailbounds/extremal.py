@@ -2,20 +2,24 @@
 
 Two closed-form constructions (the discrete two-atom mixture and the
 continuous epsilon-mixture) sit next to two independent oracles that
-maximize tail probability over moment classes by solving the equivalent
-linear programs in exact integer arithmetic: the closed-form edge of an
-upper concave envelope for decreasing pmfs, and a small two-phase
-simplex per common point for unimodal ones.  Both state their LP as
-max obj.u, A u = b, u >= 0 with integer columns, and both emit a
-(solution, dual, det) triple that the one checker,
-:func:`_check_certificate`, verifies before the oracle returns, so a
-wrong envelope edge or pivot surfaces as SoundnessViolationError rather
-than as a wrong value.  The checker reads every column it is given.
-The two-sided oracle gives it every column of its LP; the decreasing
-oracle, whose dual slack is a quadratic on each of two pieces, gives it
-only the at most eight columns where that slack can be least, so its
-work and memory do not grow with N.  A failed dual step names the column
-by the oracle's own label for it: a support index, or an interval (l, r).
+maximize tail probability over moment classes by exact integer linear
+programs over mixtures of uniforms on integer intervals: the closed-form
+edge of an upper concave envelope for decreasing pmfs, and a small
+two-phase simplex per common point for unimodal ones.  Both LPs share one
+form, max obj.u, A u = b, u >= 0, where u_j is the mass of interval j over
+its point count, and column j and obj_j are the window sums, over the
+points k of interval j, of a per-point vector (1, m k, s k^2) and of the
+tail indicator.  The decreasing oracle's intervals are {0..i}, with
+(m, s) = (2q, 0) for 2 mu = p / q; the two-sided oracle's are each [l, r]
+of its window that holds the common point, with m the mean's denominator,
+signed so that b >= 0, and s the second moment's.  Both emit a (solution,
+dual, det) triple that :func:`_check_certificate` verifies before the
+oracle returns, so a wrong envelope edge or pivot surfaces as
+SoundnessViolationError, not as a wrong value.  The checker reads every
+column it is given: the two-sided oracle's whole LP, or the at most eight
+where the decreasing oracle's dual slack can be least.  A failed dual
+step names the column by the oracle's own label for it: a support index,
+or an interval (l, r).
 
 The decreasing oracle is one certified core, :func:`_decreasing_cell`,
 which returns the optimum and its edge as integers only after the check
@@ -293,7 +297,7 @@ def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
     (total mass 1, E[D] = 2 mu), so with u_i = d_i / (i + 1) and
     2 mu = p / q the problem is max sum us_i u_i subject to A u = (1, p, 0),
     u >= 0, where us_i = (i - a + 1)^+ and A_i = (i + 1, q i (i + 1), 0):
-    the integer column form of the two-sided oracle.  Its optimum is the
+    the module's one column form on {0..i}.  Its optimum is the
     upper concave envelope of the points (i, us_i / (i + 1)) at x = 2 mu.
 
     That envelope has a closed form.  The points are 0 up to i = a - 1
@@ -436,13 +440,11 @@ def lp_max_two_sided_unimodal(
     """Maximize P(|X - mu| >= a) over unimodal pmfs near mu with given moments.
 
     The support window is the integers within distance N of mu.  Any
-    unimodal pmf on the window is a convex combination of uniforms on
-    intervals sharing a common point c, so the problem is the best over c
-    of a linear program over interval weights with three equality
-    constraints (mass, mean, second moment).  Each is solved by an exact
-    two-phase simplex in integer arithmetic, and its dual (or, when
-    infeasible, Farkas) certificate is checked before the maximum over c
-    is returned; the lowest c wins ties.
+    unimodal pmf on it is a mixture of uniforms on intervals sharing a
+    common point c, so the answer is the best over c of the module's
+    interval LP with mass, mean and second-moment rows, each solved by an
+    exact two-phase simplex whose dual (or, when infeasible, Farkas)
+    certificate is checked; the lowest c wins ties.
 
     The common points are visited outward from mu, c <= mu going down and
     c > mu going up, and each side keeps the last Farkas vector its
@@ -454,8 +456,8 @@ def lp_max_two_sided_unimodal(
     them.  Every other c passes :func:`_check_certificate`.
 
     Before its loop the oracle builds one column per interval of the window,
-    (2N+1)(2N+2)/2 of them at roughly 220 bytes each on 64-bit CPython: memory
-    grows as N**2 (about 11.7 MB at N = 160), and time faster.
+    (2N+1)(2N+2)/2 of them at roughly 260 bytes each on 64-bit CPython: memory
+    grows as N**2 (about 13.5 MB at N = 160), and time faster.
     """
     check_int(a, "threshold a", 1)
     mu = as_rational(mu)
@@ -471,18 +473,16 @@ def lp_max_two_sided_unimodal(
     sign = -1 if mu < 0 else 1
     b = (1, sign * mu.numerator, s2.numerator)
 
-    # One scaled integer column per interval, grouped by left end.
-    # Substituting w = 2 * len * u makes every constraint coefficient an
-    # integer: mass row 2*len, mean row d2*len*(l+r), second-moment row
-    # 2*d3*sum(k^2); the objective coefficient is 2 * (# tail points).
+    # One column per interval, grouped by left end: the sums over [l, r] of
+    # (1, sign*d2*k, d3*k^2) and of the tail indicator.  len*(l+r) is even.
     by_left: list[list[tuple[tuple[int, int], Column, int]]] = []
     for l in range(lo, hi + 1):
         row = []
         for r in range(l, hi + 1):
             length = r - l + 1
-            col = (2 * length, sign * d2 * length * (l + r), 2 * d3 * _sum_of_squares(l, r))
+            col = (length, sign * d2 * (length * (l + r) // 2), d3 * _sum_of_squares(l, r))
             count = max(0, r - max(l, upper_cut) + 1) + max(0, min(r, lower_cut) - l + 1)
-            row.append(((l, r), col, 2 * count))
+            row.append(((l, r), col, count))
         by_left.append(row)
 
     pivots = 0
@@ -518,7 +518,7 @@ def lp_max_two_sided_unimodal(
     atoms = {}
     for j, x in solution.items():
         l, r = labels[j]
-        atoms[(l, r)] = Fraction(2 * (r - l + 1) * x, det)
+        atoms[(l, r)] = Fraction((r - l + 1) * x, det)
     return OracleResult(
         max_tail=Fraction(num, det), argmax=IntervalMixture(atoms), enumerated=pivots
     )

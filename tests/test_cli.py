@@ -155,6 +155,17 @@ class TestBoundCommand:
         assert code == 3 and out == "" and err.count("\n") == 1
         assert err.startswith(f"error: {path} {reason}")
 
+    @pytest.mark.parametrize("make, reason", [
+        (lambda path: None, "No such file or directory"),
+        (lambda path: path.mkdir(), "Is a directory"),
+    ], ids=["missing", "directory"])
+    def test_unopenable_input_exits_3_naming_the_path(self, capsys, tmp_path, make, reason):
+        path = tmp_path / "pmf.json"
+        make(path)
+        code, out, err = run_cli(capsys, "bound", "--input", str(path), "--a", "1")
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: cannot read {path}: ") and reason in err
+
     def test_input_path_with_nul_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "bound", "--input", "a\x00b", "--a", "1")
         assert code == 3 and out == ""
@@ -454,6 +465,17 @@ class TestRangeCap:
         assert run_cli(capsys, *argv) == (
             3, "", "error: range '1..10001' has 10001 values; at most 10000 are allowed\n",
         )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--pmf", "point:0", "--a", "5..4"],
+            ["verify", "--a", "5..4", "--mu", "1/2", "--N", "10"],
+        ],
+        ids=["sweep", "verify"],
+    )
+    def test_empty_range_exits_3(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (3, "", "error: empty range '5..4'\n")
 
     def test_sweep_range_capped_before_the_pmf_is_built(self, capsys, monkeypatch):
         def refuse(args):

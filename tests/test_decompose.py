@@ -107,6 +107,18 @@ def test_from_dict_rejects_a_repeated_atom(build, repeated):
         build()
 
 
+@pytest.mark.parametrize("obj", [
+    {"atoms": [{"l": 0, "r": 1}]},
+    {"atoms": 5},
+    {"atoms": {"l": 0, "r": 1, "w": "1"}},
+    {"atoms": ["[0, 1]"]},
+    {},
+], ids=["missing-w", "atoms-an-int", "atoms-an-object", "entry-a-string", "no-atoms"])
+def test_interval_from_dict_rejects_a_malformed_structure(obj):
+    with pytest.raises(ValidationError, match="interval mixture JSON must be"):
+        IntervalMixture.from_dict(obj)
+
+
 @pytest.mark.parametrize(
     "build, message",
     [

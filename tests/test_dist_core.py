@@ -297,6 +297,11 @@ class TestMakePmf:
         with pytest.raises(ValidationError):
             Pmf(0, (F(1, 2), F(1, 4)))
 
+    @pytest.mark.parametrize("weights", [(F(0), F(1)), (F(1), F(0))], ids=["first", "last"])
+    def test_raw_constructor_rejects_a_zero_endpoint(self, weights):
+        with pytest.raises(ValidationError, match="nonzero endpoints"):
+            Pmf(0, weights)
+
     def test_raw_constructor_makes_float_weights_exact(self):
         p = Pmf(0, (0.5, 0.5))
         assert p == make_pmf(0, [1, 1])

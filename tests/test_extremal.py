@@ -231,6 +231,18 @@ class TestLpMaxTailDecreasing:
                 assert lp_max_tail_decreasing(a, mu, N).max_tail <= base
 
 
+def record_certificate_checks(monkeypatch):
+    """Run every oracle's certificate check as usual, appending its arguments to a list."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return _check_certificate(*args)
+
+    monkeypatch.setattr(extremal, "_check_certificate", recording)
+    return calls
+
+
 class TestSlackMinima:
     """The decreasing oracle's dual step accepts exactly what a scan of all N + 1 columns does."""
 
@@ -289,13 +301,7 @@ class TestSlackMinima:
         assert self.first_failing(a, 1, 50, y, det) == failing
 
     def test_the_oracle_checks_exactly_the_named_columns(self, monkeypatch):
-        calls = []
-
-        def recording(*args):
-            calls.append(args)
-            return _check_certificate(*args)
-
-        monkeypatch.setattr(extremal, "_check_certificate", recording)
+        calls = record_certificate_checks(monkeypatch)
         rng = random.Random(20261021)
         cells = [(5, F(23, 2), 10**6), (1, F(10**6), 10**6), (3, F(1, 7), 10**6)]
         for _ in range(200):
@@ -367,8 +373,77 @@ class TestCertificateLabels:
         [(A, obj, y, scale, labels)] = seen
         j = _first_failing(A, obj, y, scale)
         assert (j, labels[j]) == (1, (-2, 1))
-        # 4 points with sum -2 and sum of squares 6, each row scaled by 2 / len.
-        assert A[j] == (8, -4, 12)
+        # The sums over its 4 points of (1, k, k^2): count 4, sum -2, sum of squares 6.
+        assert A[j] == (4, -2, 6)
+
+
+class TestOneColumnForm:
+    """Both oracles hand the checker window sums of a per-point vector and a tail indicator.
+
+    Each column the checker receives is compared with a sum over its
+    points written out here, with no closed form for sum k or sum k^2.
+    """
+
+    @staticmethod
+    def window_sum(points, per_point):
+        return tuple(sum(v) for v in zip(*map(per_point, points)))
+
+    def test_two_sided_columns(self, monkeypatch):
+        calls = record_certificate_checks(monkeypatch)
+        rng = random.Random(20261023)
+        cases = list(CRITERION_6_CONFIGS) + [(1, F(-5, 2), F(1, 4), 1), (2, F(-7, 3), F(5), 4)]
+        for _ in range(12):
+            radius = rng.randint(1, 5)
+            mu = F(rng.randint(-9, 9), rng.choice([1, 2, 3]))
+            cases.append((rng.randint(1, 3), mu, F(rng.randint(0, 2 * radius * radius), 4), radius))
+        columns = 0
+        for a, mu, var, radius in cases:
+            calls.clear()
+            try:
+                res = lp_max_two_sided_unimodal(a, mu, var, radius)
+            except InfeasibleError:
+                res = None
+            s2 = var + mu * mu
+            sign = -1 if mu < 0 else 1
+            m, s = sign * mu.denominator, s2.denominator
+            lower_cut, upper_cut = math.floor(mu - a), math.ceil(mu + a)
+            argmaxes = []
+            for A, obj, b, y, det, solution, labels in calls:
+                assert b == (1, sign * mu.numerator, s2.numerator)
+                for (l, r), col, cost in zip(labels, A, obj):
+                    points = range(l, r + 1)
+                    assert col == self.window_sum(points, lambda k: (1, m * k, s * k * k)), (l, r)
+                    assert cost == sum(k <= lower_cut or k >= upper_cut for k in points), (l, r)
+                columns += len(A)
+                if solution is not None:
+                    # Interval j carries len_j * u_j of the mass.
+                    argmaxes.append({labels[j]: F(labels[j][1] - labels[j][0] + 1) * x / det
+                                     for j, x in solution.items() if x})
+            assert (res is None) == (argmaxes == [])
+            if res is not None:
+                assert dict(res.argmax.atoms) in argmaxes, (a, mu, var, radius)
+        assert columns > 2000
+
+    def test_decreasing_columns(self, monkeypatch):
+        calls = record_certificate_checks(monkeypatch)
+        rng = random.Random(20261024)
+        for _ in range(60):
+            a = rng.randint(1, 8)
+            N = rng.choice([2 * a, 2 * a + 1, 50, 1000])
+            q = rng.choice([1, 2, 3, 7])
+            two_mu = F(rng.randint(1, min(N, 60) * q), q)
+            q = two_mu.denominator  # in lowest terms, as the oracle reads it
+            calls.clear()
+            res = lp_max_tail_decreasing(a, two_mu / 2, N)
+            [(A, obj, b, y, det, solution, labels)] = calls
+            assert b == (1, two_mu.numerator, 0)
+            for i, col, cost in zip(labels, A, obj):
+                points = range(i + 1)
+                assert col == self.window_sum(points, lambda k: (1, 2 * q * k, 0)), i
+                assert cost == sum(k >= a for k in points), i
+            assert dict(res.argmax.atoms) == {
+                labels[j]: F(labels[j] + 1) * x / det for j, x in solution.items() if x
+            }
 
 
 class TestLpMaxTwoSidedUnimodal:
@@ -491,13 +566,7 @@ class TestVerifyTightness:
         assert seen >= {"at most 0", "2a - 1", "N", "just above N"}
 
     def test_one_certificate_check_per_feasible_cell(self, monkeypatch):
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return _check_certificate(*args)
-
-        monkeypatch.setattr(extremal, "_check_certificate", counting)
+        calls = record_certificate_checks(monkeypatch)
         mus = [F(-1), F(0), F(1, 3), F(1, 2), F(5, 2), F(7), F(19, 2), F(10), F(21, 2), F(11)]
         rows = verify_tightness_theorem2(range(1, 6), mus, 20)
         feasible = sum(row.oracle is not None for row in rows)
@@ -737,6 +806,13 @@ class TestPivotRule:
         with pytest.raises(SoundnessViolationError, match="more pivots than the 4 bases"):
             _run_phase([(1, 1, 1)], [0], -1, (1, 1, 1), [~0, ~1, ~2])
 
+    def test_unbounded_ray_refused(self):
+        # Column 1 is column 0 negated: once column 0 holds the mass, column
+        # 1 raises the objective without bound, since u0 - u1 = 1 lets both
+        # grow together.  No ratio-test row limits it, so the phase refuses.
+        with pytest.raises(SoundnessViolationError, match="unbounded ray"):
+            _simplex([(1, 0, 0), (-1, 0, 0)], [0, 1], (1, 0, 0))
+
     def test_zero_artificial_leaves_on_a_negative_entry(self):
         # A phase-2 basis holding the artificial of row 0 at zero. Column 2
         # enters with entry -1 there: the plain ratio test would let row 1
@@ -773,6 +849,27 @@ class TestCertificates:
         _check_certificate(self.A, self.obj, b, y, det, None, self.labels)
         with pytest.raises(SoundnessViolationError):
             _check_certificate(self.A, self.obj, b, (-y[0], -y[1], -y[2]), det, None, self.labels)
+
+    def test_farkas_vector_must_separate_b(self):
+        # y = 0 passes every column's y.A_j >= 0, but y.b = 0 proves nothing.
+        with pytest.raises(SoundnessViolationError, match="does not separate b"):
+            _check_certificate(self.A, self.obj, (1, 1, 2), (0, 0, 0), 1, None, self.labels)
+
+    # Each solution meets every row and the value check, so only the basis
+    # check refuses it.  Unit columns and their sum (1, 1, 0), objective 0,
+    # dual 0: with b = (0, 1, 0), u = {3: 1, 0: -1} meets the rows; with
+    # b = (1, 1, 0), position -1 would read column 3 as Python indexes;
+    # with det = 0 the empty solution meets 0 * b and the value 0 = y.b.
+    @pytest.mark.parametrize("b, det, solution", [
+        ((0, 1, 0), 1, {3: 1, 0: -1}),
+        ((1, 1, 0), 1, {-1: 1}),
+        ((1, 1, 0), 1, {4: 1}),
+        ((1, 1, 0), 0, {}),
+    ], ids=["negative-weight", "position-below-0", "position-past-the-end", "det-0"])
+    def test_primal_must_be_a_nonnegative_basis(self, b, det, solution):
+        A = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
+        with pytest.raises(SoundnessViolationError, match="not a nonnegative basis"):
+            _check_certificate(A, [0] * 4, b, (0, 0, 0), det, solution, range(4))
 
     def test_line_certificate_accepted_and_tampering_rejected(self):
         # a = 1, N = 3, 2mu = p/q = 3/2: columns (i + 1, q i (i + 1), 0) over

@@ -82,6 +82,21 @@ MUTANTS = [
            "oracle_scaled == bound_scaled", "bound_scaled >= oracle_scaled", EXTREMAL),
     Mutant("bound scale without its factor 2", "extremal.py",
            "num * 2 * q * top", "num * q * top", EXTREMAL),
+    # The one column form: window sums of a per-point vector, u_j = mass / len.
+    Mutant("two-sided mean row without its // 2", "extremal.py",
+           "sign * d2 * (length * (l + r) // 2)", "sign * d2 * (length * (l + r))", EXTREMAL),
+    Mutant("two-sided argmax mass with the old factor 2", "extremal.py",
+           "Fraction((r - l + 1) * x, det)", "Fraction(2 * (r - l + 1) * x, det)", EXTREMAL),
+    # The shared certificate check's refusals and the simplex's unbounded ray.
+    Mutant("Farkas vector with y.b = 0 accepted", "extremal.py",
+           "if yb >= 0:", "if yb > 0:", EXTREMAL),
+    Mutant("primal weight may be negative", "extremal.py",
+           "any(x < 0 or not 0 <= j < len(A)", "any(not 0 <= j < len(A)", EXTREMAL),
+    Mutant("primal position unchecked", "extremal.py",
+           "any(x < 0 or not 0 <= j < len(A) for", "any(x < 0 for", EXTREMAL),
+    Mutant("primal det 0 accepted", "extremal.py",
+           "if det <= 0 or any(", "if det < 0 or any(", EXTREMAL),
+    Mutant("unbounded ray not refused", "extremal.py", "if leave < 0:", "if False:", EXTREMAL),
     # The two-sided oracle's simplex and the shared certificate check.
     Mutant("Bland leaving tie-break reversed", "extremal.py",
            "basis[i] < basis[leave]", "basis[i] > basis[leave]", EXTREMAL),

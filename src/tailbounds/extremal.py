@@ -333,13 +333,6 @@ def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
     )
 
 
-def _sum_of_squares(l: int, r: int) -> int:
-    def prefix(n: int) -> int:
-        return n * (n + 1) * (2 * n + 1) // 6
-
-    return prefix(r) - prefix(l - 1)
-
-
 _UNIT: tuple[Column, Column, Column] = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -455,9 +448,10 @@ def lp_max_two_sided_unimodal(
     from mu most c are infeasible, and one vector often certifies a run of
     them.  Every other c passes :func:`_check_certificate`.
 
-    Before its loop the oracle builds one column per interval of the window,
-    (2N+1)(2N+2)/2 of them at roughly 260 bytes each on 64-bit CPython: memory
-    grows as N**2 (about 13.5 MB at N = 160), and time faster.
+    Before its loop the oracle takes prefix sums of the per-point vector
+    over the window, and it builds each c's columns, at most (N+1)**2, as
+    differences of two of them: memory grows as N**2 (a traced peak
+    under 0.4 MB at N = 40), and time faster.
     """
     check_int(a, "threshold a", 1)
     mu = as_rational(mu)
@@ -473,28 +467,30 @@ def lp_max_two_sided_unimodal(
     sign = -1 if mu < 0 else 1
     b = (1, sign * mu.numerator, s2.numerator)
 
-    # One column per interval, grouped by left end: the sums over [l, r] of
-    # (1, sign*d2*k, d3*k^2) and of the tail indicator.  len*(l+r) is even.
-    by_left: list[list[tuple[tuple[int, int], Column, int]]] = []
-    for l in range(lo, hi + 1):
-        row = []
-        for r in range(l, hi + 1):
-            length = r - l + 1
-            col = (length, sign * d2 * (length * (l + r) // 2), d3 * _sum_of_squares(l, r))
-            count = max(0, r - max(l, upper_cut) + 1) + max(0, min(r, lower_cut) - l + 1)
-            row.append(((l, r), col, count))
-        by_left.append(row)
+    # Prefix sums of (1, sign*d2*k, d3*k^2) and of the tail indicator: entry
+    # i sums the points lo..lo+i-1, so [l, r] is entry r-lo+1 minus entry l-lo.
+    G = [(0, 0, 0, 0)]
+    for k in range(lo, hi + 1):
+        n, s, q, t = G[-1]
+        tail = k >= upper_cut or k <= lower_cut
+        G.append((n + 1, s + sign * d2 * k, q + d3 * k * k, t + tail))
 
     pivots = 0
-    best: Optional[tuple[int, int, int, tuple[tuple[int, int], ...], dict[int, int]]] = None
+    best: Optional[tuple[int, int, int, list[tuple[int, int]], dict[int, int]]] = None
     below = range(math.floor(mu), lo - 1, -1)
     above = range(math.floor(mu) + 1, hi + 1)
     for side in (below, above):
         farkas: Optional[Column] = None  # the last Farkas vector found on this side
         for c in side:
             # Intervals [l, r] with l <= c <= r, in (l, r) order.
-            members = [iv for l, row in enumerate(by_left[: c - lo + 1], lo) for iv in row[c - l:]]
-            labels, A, obj = zip(*members)
+            labels, A, obj = [], [], []
+            for l in range(lo, c + 1):
+                n0, s0, q0, t0 = G[l - lo]
+                for r in range(c, hi + 1):
+                    n1, s1, q1, t1 = G[r - lo + 1]
+                    labels.append((l, r))
+                    A.append((n1 - n0, s1 - s0, q1 - q0))
+                    obj.append(t1 - t0)
             if farkas is not None and _first_failing(A, obj, farkas, 0) is None:
                 continue  # that one scan was c's certificate check
             solution, y, det, count = _simplex(A, obj, b)

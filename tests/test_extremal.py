@@ -390,6 +390,16 @@ class TestOneColumnForm:
 
     def test_two_sided_columns(self, monkeypatch):
         calls = record_certificate_checks(monkeypatch)
+        # Every dual scan: the checker's own, and each stored Farkas vector's,
+        # whose columns reach no certificate check.
+        scans = []
+
+        def recording_scan(A, obj, y, scale):
+            scans.append((list(A), list(obj)))
+            return _first_failing(A, obj, y, scale)
+
+        monkeypatch.setattr(extremal, "_first_failing", recording_scan)
+        reused = 0
         rng = random.Random(20261023)
         cases = list(CRITERION_6_CONFIGS) + [(1, F(-5, 2), F(1, 4), 1), (2, F(-7, 3), F(5), 4)]
         for _ in range(12):
@@ -399,6 +409,7 @@ class TestOneColumnForm:
         columns = 0
         for a, mu, var, radius in cases:
             calls.clear()
+            scans.clear()
             try:
                 res = lp_max_two_sided_unimodal(a, mu, var, radius)
             except InfeasibleError:
@@ -422,7 +433,25 @@ class TestOneColumnForm:
             assert (res is None) == (argmaxes == [])
             if res is not None:
                 assert dict(res.argmax.atoms) in argmaxes, (a, mu, var, radius)
+            # Each scanned list is the columns of the intervals holding some c
+            # of the window, in (l, r) order, and every c is scanned.
+            lo, hi = math.ceil(mu - radius), math.floor(mu + radius)
+            by_c = {}
+            for c in range(lo, hi + 1):
+                intervals = [range(l, r + 1) for l in range(lo, c + 1) for r in range(c, hi + 1)]
+                by_c[c] = (
+                    [self.window_sum(ks, lambda k: (1, m * k, s * k * k)) for ks in intervals],
+                    [sum(k <= lower_cut or k >= upper_cut for k in ks) for ks in intervals],
+                )
+            covered = set()
+            for scan in scans:
+                [c] = [c for c, want in by_c.items() if want == scan]
+                covered.add(c)
+            assert covered == set(by_c), (a, mu, var, radius)
+            # One scan per certificate check; the rest tried a stored vector.
+            reused += len(scans) - len(calls)
         assert columns > 2000
+        assert reused > 0
 
     def test_decreasing_columns(self, monkeypatch):
         calls = record_certificate_checks(monkeypatch)
@@ -447,6 +476,20 @@ class TestOneColumnForm:
 
 
 class TestLpMaxTwoSidedUnimodal:
+    def test_memory_holds_one_common_points_columns(self):
+        # Only one c's columns, at most (N + 1)^2, are alive at a time.  A
+        # first call fills the interpreter's free lists, so the traced peak
+        # reads the same whether or not earlier tests ran the oracle.
+        lp_max_two_sided_unimodal(4, 5, 10, 12)
+        tracemalloc.start()
+        try:
+            res = lp_max_two_sided_unimodal(4, 5, 10, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.max_tail == F(67, 165)
+        assert peak < 24_000
+
     def test_uniform_is_feasible_witness(self):
         res = lp_max_two_sided_unimodal(4, 5, 10, 5)
         assert res.max_tail >= two_sided_tail(uniform_pmf(0, 10), 4) == F(4, 11)

@@ -83,8 +83,17 @@ MUTANTS = [
     Mutant("bound scale without its factor 2", "extremal.py",
            "num * 2 * q * top", "num * q * top", EXTREMAL),
     # The one column form: window sums of a per-point vector, u_j = mass / len.
-    Mutant("two-sided mean row without its // 2", "extremal.py",
-           "sign * d2 * (length * (l + r) // 2)", "sign * d2 * (length * (l + r))", EXTREMAL),
+    # The two-sided oracle takes each as a difference of two prefix sums.
+    Mutant("two-sided left prefix index + 1", "extremal.py",
+           "G[l - lo]", "G[l - lo + 1]", EXTREMAL),
+    Mutant("two-sided right prefix index - 1", "extremal.py",
+           "G[r - lo + 1]", "G[r - lo]", EXTREMAL),
+    Mutant("two-sided upper tail from > upper_cut", "extremal.py",
+           "k >= upper_cut or k <= lower_cut", "k > upper_cut or k <= lower_cut", EXTREMAL),
+    Mutant("two-sided lower tail from < lower_cut", "extremal.py",
+           "k >= upper_cut or k <= lower_cut", "k >= upper_cut or k < lower_cut", EXTREMAL),
+    Mutant("two-sided second moment d3 k for d3 k^2", "extremal.py",
+           "d3 * k * k", "d3 * k", EXTREMAL),
     Mutant("two-sided argmax mass with the old factor 2", "extremal.py",
            "Fraction((r - l + 1) * x, det)", "Fraction(2 * (r - l + 1) * x, det)", EXTREMAL),
     # The shared certificate check's refusals and the simplex's unbounded ray.

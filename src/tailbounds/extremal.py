@@ -13,8 +13,9 @@ tail indicator.  The decreasing oracle's intervals are {0..i}, with
 (m, s) = (2q, 0) for 2 mu = p / q; the two-sided oracle's are each [l, r]
 of its window that holds the common point, with m the mean's denominator,
 signed so that b >= 0, and s the second moment's.  Both emit a (solution,
-dual, det) triple that :func:`_check_certificate` verifies before the
-oracle returns, so a wrong envelope edge or pivot surfaces as
+dual, det) triple, or for a pruned common point a closed-form Farkas
+vector, that :func:`_check_certificate` verifies before the oracle
+returns, so a wrong envelope edge, pivot or pruned point surfaces as
 SoundnessViolationError, not as a wrong value.  The checker reads every
 column it is given: the two-sided oracle's whole LP, or the at most eight
 where the decreasing oracle's dual slack can be least.  A failed dual
@@ -79,7 +80,7 @@ class OracleResult(Record):
     decreasing oracle the columns its certificate check read (at most
     eight, whatever N), and for the two-sided one the
     simplex pivots summed over the common points the simplex ran on; a
-    point certified by a reused Farkas vector adds none.
+    pruned point adds none.
     """
 
     max_tail: Fraction
@@ -169,8 +170,7 @@ def _first_failing(
     """The first column j of ``A`` with y.A_j < scale * obj_j, or None.
 
     This is the dual step of :func:`_check_certificate`; with ``scale`` 0
-    it checks a Farkas vector's columns, as the two-sided oracle does for
-    a vector it stored.
+    it checks a Farkas vector's columns.
     """
     y0, y1, y2 = y
     for j, ((a0, a1, a2), cj) in enumerate(zip(A, obj)):
@@ -435,18 +435,21 @@ def lp_max_two_sided_unimodal(
     The support window is the integers within distance N of mu.  Any
     unimodal pmf on it is a mixture of uniforms on intervals sharing a
     common point c, so the answer is the best over c of the module's
-    interval LP with mass, mean and second-moment rows, each solved by an
-    exact two-phase simplex whose dual (or, when infeasible, Farkas)
-    certificate is checked; the lowest c wins ties.
+    interval LP with mass, mean and second-moment rows.  One ascending
+    pass visits every c, so the lowest c wins ties, and each c passes
+    :func:`_check_certificate` once: on the dual (or, when infeasible,
+    Farkas) certificate of an exact two-phase simplex, or, for a pruned
+    c, on the closed-form Farkas vector below.
 
-    The common points are visited outward from mu, c <= mu going down and
-    c > mu going up, and each side keeps the last Farkas vector its
-    simplex found and :func:`_check_certificate` accepted.  b is the same
-    for every c, so that vector still has y.b < 0, and when one scan by
-    :func:`_first_failing` finds y.A_j >= 0 on every column of the next c,
-    that scan is c's certificate check and the simplex is skipped.  Far
-    from mu most c are infeasible, and one vector often certifies a run of
-    them.  Every other c passes :func:`_check_certificate`.
+    With x = mu - c, c is pruned when x^2 + |x| > 3 var.  A uniform on
+    [l, r] holding c, with n points and midpoint h, has
+    E[(k - c)^2] = (n^2 - 1)/12 + (h - c)^2 >= phi(h - c), where
+    phi(x) = (4x^2 + |x|)/3, since |h - c| <= (n - 1)/2.  phi is convex,
+    so its tangent at x lies below it: with t = 8x + sgn x, the sum of
+    g(k) = 3(k - c)^2 - t(k - c) + 4x^2 over every column is >= 0, while
+    its mean under the moments is 3 var - x^2 - |x| < 0.  Over the
+    per-point vector (1, m k, s k^2) that is the Farkas vector
+    y = (3c^2 + tc + 4x^2, (-6c - t)/m, 3/s), scaled to integers.
 
     Before its loop the oracle takes prefix sums of the per-point vector
     over the window, and it builds each c's columns, at most (N+1)**2, as
@@ -476,41 +479,38 @@ def lp_max_two_sided_unimodal(
         G.append((n + 1, s + sign * d2 * k, q + d3 * k * k, t + tail))
 
     pivots = 0
-    best: Optional[tuple[int, int, int, list[tuple[int, int]], dict[int, int]]] = None
-    below = range(math.floor(mu), lo - 1, -1)
-    above = range(math.floor(mu) + 1, hi + 1)
-    for side in (below, above):
-        farkas: Optional[Column] = None  # the last Farkas vector found on this side
-        for c in side:
-            # Intervals [l, r] with l <= c <= r, in (l, r) order.
-            labels, A, obj = [], [], []
-            for l in range(lo, c + 1):
-                n0, s0, q0, t0 = G[l - lo]
-                for r in range(c, hi + 1):
-                    n1, s1, q1, t1 = G[r - lo + 1]
-                    labels.append((l, r))
-                    A.append((n1 - n0, s1 - s0, q1 - q0))
-                    obj.append(t1 - t0)
-            if farkas is not None and _first_failing(A, obj, farkas, 0) is None:
-                continue  # that one scan was c's certificate check
-            solution, y, det, count = _simplex(A, obj, b)
-            pivots += count
-            num = _check_certificate(A, obj, b, y, det, solution, labels)
-            if num is None:
-                farkas = y
-                continue
-            # The side below mu runs downward, so a tie must go to the lower c.
-            if best is None or num * best[1] > best[0] * det or (
-                num * best[1] == best[0] * det and c < best[2]
-            ):
-                best = (num, det, c, labels, solution)
+    best: Optional[tuple[int, int, list[tuple[int, int]], dict[int, int]]] = None
+    for c in range(lo, hi + 1):
+        # Intervals [l, r] with l <= c <= r, in (l, r) order.
+        labels, A, obj = [], [], []
+        for l in range(lo, c + 1):
+            n0, s0, q0, t0 = G[l - lo]
+            for r in range(c, hi + 1):
+                n1, s1, q1, t1 = G[r - lo + 1]
+                labels.append((l, r))
+                A.append((n1 - n0, s1 - s0, q1 - q0))
+                obj.append(t1 - t0)
+        x = mu - c
+        if x * x + abs(x) > 3 * var:
+            # The tangent Farkas vector of the docstring, scaled to integers.
+            t = 8 * x + (1 if x > 0 else -1)
+            y = (3 * c * c + t * c + 4 * x * x, (-6 * c - t) / (sign * d2), Fraction(3, d3))
+            L = math.lcm(*(v.denominator for v in y))
+            _check_certificate(A, obj, b, tuple(int(v * L) for v in y), 0, None, labels)
+            continue
+        solution, y, det, count = _simplex(A, obj, b)
+        pivots += count
+        num = _check_certificate(A, obj, b, y, det, solution, labels)
+        # Ascending c and a strict > give ties to the lowest c.
+        if num is not None and (best is None or num * best[1] > best[0] * det):
+            best = (num, det, labels, solution)
 
     if best is None:
         raise InfeasibleError(
             f"no unimodal pmf on [{_shown(lo)}, {_shown(hi)}] has mean {_shown(mu)}"
             f" and variance {_shown(var)}"
         )
-    num, det, _, labels, solution = best
+    num, det, labels, solution = best
     atoms = {}
     for j, x in solution.items():
         l, r = labels[j]

@@ -16,11 +16,12 @@ through that edge against every one of them, as the library oracle did
 before it read only the columns where the dual slack can be least;
 ``decreasing_dual_feasible`` is that full scan on its own.
 
-``simplex_max_two_sided_unimodal`` is the in-order form of the two-sided
+``simplex_max_two_sided_unimodal`` is the unpruned form of the two-sided
 oracle: it runs the library's simplex on every common point from the
-lowest up, with no reused Farkas vector, and the first c wins ties.  It
-shares the solver, so it checks the visit order, the reuse and the tie
-rule, not the simplex itself.
+lowest up, and the first c wins ties.  It shares the solver, so it
+checks the pruning and the tie rule, not the simplex itself.
+``tangent_farkas_vector`` is a pruned point's certificate, read off the
+quadratic it stands for rather than taken from the library's expansion.
 """
 from __future__ import annotations
 
@@ -380,3 +381,28 @@ def simplex_max_two_sided_unimodal(a: int, mu, var, N: int) -> OracleResult:
     return OracleResult(
         max_tail=Fraction(num, det), argmax=IntervalMixture(atoms), enumerated=pivots
     )
+
+
+def tangent_farkas_vector(mu, var, c: int) -> Column:
+    """The two-sided oracle's Farkas vector for a pruned common point c, in integers.
+
+    With x = mu - c and t = 8x + sgn x, the quadratic
+    g(k) = 3(k - c)^2 - t(k - c) + 4x^2 is read off its values at
+    k = -1, 0 and 1, and its coefficients of 1, k and k^2 are divided by
+    the per-point vector (1, m k, s k^2) of ``lp_max_two_sided_unimodal``:
+    m is mu's denominator, negated when mu < 0, and s is that of
+    var + mu^2.  Where x^2 + |x| > 3 var its sum over every interval
+    holding c is >= 0 and its mean under the moments is < 0.
+    """
+    mu, var = as_rational(mu), as_rational(var)
+    x = mu - c
+    t = 8 * x + (1 if x > 0 else -1)
+
+    def g(k: int) -> Fraction:
+        return 3 * (k - c) ** 2 - t * (k - c) + 4 * x * x
+
+    m = (-1 if mu < 0 else 1) * mu.denominator
+    s = (var + mu * mu).denominator
+    y = (g(0), (g(1) - g(-1)) / 2 / m, ((g(1) + g(-1)) / 2 - g(0)) / s)
+    scale = math.lcm(*(v.denominator for v in y))
+    return tuple(int(v * scale) for v in y)

@@ -44,6 +44,7 @@ from reference_oracles import (
     reference_max_tail_decreasing,
     reference_max_two_sided_unimodal,
     simplex_max_two_sided_unimodal,
+    tangent_farkas_vector,
 )
 from test_acceptance import CRITERION_6_CONFIGS
 
@@ -367,14 +368,16 @@ class TestCertificateLabels:
         seen = self.tamper(monkeypatch, lambda y: (y[0] - 1, y[1], y[2]))
         with pytest.raises(SoundnessViolationError) as excinfo:
             lp_max_two_sided_unimodal(1, 0, 1, 2)
-        # The first common point, c = 0: the interval [-2, 1] is tight in
-        # its optimum, so lowering the dual's mass entry fails it first.
-        assert str(excinfo.value) == "dual certificate fails on column (-2, 1)"
+        # The first common point, c = -2, is pruned.  Its tangent Farkas
+        # vector (-6, -5, 3) sums to 0 over [-2, 2], the uniform whose
+        # midpoint is mu, so lowering its mass entry fails that column first.
+        assert str(excinfo.value) == "dual certificate fails on column (-2, 2)"
         [(A, obj, y, scale, labels)] = seen
+        assert (y, scale) == ((-7, -5, 3), 0)
         j = _first_failing(A, obj, y, scale)
-        assert (j, labels[j]) == (1, (-2, 1))
-        # The sums over its 4 points of (1, k, k^2): count 4, sum -2, sum of squares 6.
-        assert A[j] == (4, -2, 6)
+        assert (j, labels[j]) == (4, (-2, 2))
+        # The sums over its 5 points of (1, k, k^2): count 5, sum 0, sum of squares 10.
+        assert A[j] == (5, 0, 10)
 
 
 class TestOneColumnForm:
@@ -390,16 +393,6 @@ class TestOneColumnForm:
 
     def test_two_sided_columns(self, monkeypatch):
         calls = record_certificate_checks(monkeypatch)
-        # Every dual scan: the checker's own, and each stored Farkas vector's,
-        # whose columns reach no certificate check.
-        scans = []
-
-        def recording_scan(A, obj, y, scale):
-            scans.append((list(A), list(obj)))
-            return _first_failing(A, obj, y, scale)
-
-        monkeypatch.setattr(extremal, "_first_failing", recording_scan)
-        reused = 0
         rng = random.Random(20261023)
         cases = list(CRITERION_6_CONFIGS) + [(1, F(-5, 2), F(1, 4), 1), (2, F(-7, 3), F(5), 4)]
         for _ in range(12):
@@ -409,7 +402,6 @@ class TestOneColumnForm:
         columns = 0
         for a, mu, var, radius in cases:
             calls.clear()
-            scans.clear()
             try:
                 res = lp_max_two_sided_unimodal(a, mu, var, radius)
             except InfeasibleError:
@@ -433,25 +425,14 @@ class TestOneColumnForm:
             assert (res is None) == (argmaxes == [])
             if res is not None:
                 assert dict(res.argmax.atoms) in argmaxes, (a, mu, var, radius)
-            # Each scanned list is the columns of the intervals holding some c
-            # of the window, in (l, r) order, and every c is scanned.
+            # The checker receives the intervals holding each c of the window,
+            # lowest c first, in (l, r) order.
             lo, hi = math.ceil(mu - radius), math.floor(mu + radius)
-            by_c = {}
-            for c in range(lo, hi + 1):
-                intervals = [range(l, r + 1) for l in range(lo, c + 1) for r in range(c, hi + 1)]
-                by_c[c] = (
-                    [self.window_sum(ks, lambda k: (1, m * k, s * k * k)) for ks in intervals],
-                    [sum(k <= lower_cut or k >= upper_cut for k in ks) for ks in intervals],
-                )
-            covered = set()
-            for scan in scans:
-                [c] = [c for c, want in by_c.items() if want == scan]
-                covered.add(c)
-            assert covered == set(by_c), (a, mu, var, radius)
-            # One scan per certificate check; the rest tried a stored vector.
-            reused += len(scans) - len(calls)
+            assert [labels for *_, labels in calls] == [
+                [(l, r) for l in range(lo, c + 1) for r in range(c, hi + 1)]
+                for c in range(lo, hi + 1)
+            ], (a, mu, var, radius)
         assert columns > 2000
-        assert reused > 0
 
     def test_decreasing_columns(self, monkeypatch):
         calls = record_certificate_checks(monkeypatch)
@@ -763,8 +744,8 @@ def _result_and_work(oracle, *args):
     return (res.max_tail, res.argmax), res.enumerated
 
 
-class TestFarkasReuse:
-    """Reused Farkas vectors change the work done, never the result."""
+class TestOnePass:
+    """Pruning common points changes the work done, never the result."""
 
     @staticmethod
     def cases():
@@ -775,8 +756,8 @@ class TestFarkasReuse:
             (3, F(-7, 3), F(64), 8),  # past any pmf on [-10, 5] with this mean: 506/9
             (1, F(-5, 2), F(1, 4), 1),  # window {-3, -2}, two equal atoms
             (4, F(-5, 3), F(5), 4),  # c = -5 and a higher c tie with different argmaxes
-            # Only c = -2 is feasible; the vector stored at c = -1 fails on one
-            # column there, [-2, -2], the first.
+            # Only c = -2 is feasible; c = -1 and 0 are not pruned, so the
+            # simplex proves them infeasible.
             (4, F(-2, 3), F(5, 4), 2),
         ]
         rng = random.Random(20261019)
@@ -788,26 +769,19 @@ class TestFarkasReuse:
                     cases.append((rng.randint(1, 4), mu, var, radius))
         return cases
 
-    def test_matches_the_in_order_reference(self, monkeypatch):
-        passed = []
-
-        def counting_scan(*args):
-            j = _first_failing(*args)
-            if j is None:
-                passed.append(args)
-            return j
-
-        monkeypatch.setattr(extremal, "_first_failing", counting_scan)
+    def test_matches_the_unpruned_reference(self, monkeypatch):
+        calls = record_certificate_checks(monkeypatch)
         start = time.perf_counter()
         feasible = 0
         for a, mu, var, radius in self.cases():
             want, want_work = _result_and_work(simplex_max_two_sided_unimodal, a, mu, var, radius)
-            passed.clear()
+            calls.clear()
             got, work = _result_and_work(lp_max_two_sided_unimodal, a, mu, var, radius)
             assert got == want, (a, mu, var, radius)
-            # Every common point in the window passes exactly one dual scan:
-            # a stored Farkas vector's, or the one in _check_certificate.
-            assert len(passed) == math.floor(mu + radius) - math.ceil(mu - radius) + 1
+            # Exactly one certificate check per common point of the window,
+            # lowest first: the first interval of c's LP is [lo, c].
+            lo, hi = math.ceil(mu - radius), math.floor(mu + radius)
+            assert [labels[0][1] for *_, labels in calls] == list(range(lo, hi + 1))
             if work is not None:
                 feasible += 1
                 assert work <= want_work, (a, mu, var, radius)
@@ -820,6 +794,67 @@ class TestFarkasReuse:
                 for config in CRITERION_6_CONFIGS]
         assert all(g <= w for g, w in zip(got, want))
         assert sum(got) < sum(want)
+
+
+def _point_lp(mu, var, lo, hi, c):
+    """Common point c's columns, each summed point by point, its b and its labels."""
+    m = (-1 if mu < 0 else 1) * mu.denominator
+    s2 = var + mu * mu
+    labels = [(l, r) for l in range(lo, c + 1) for r in range(c, hi + 1)]
+    A = [tuple(sum(v) for v in zip(*((1, m * k, s2.denominator * k * k)
+                                      for k in range(l, r + 1)))) for l, r in labels]
+    return A, (1, int(m * mu), s2.numerator), labels
+
+
+class TestPruning:
+    """A common point with (mu - c)^2 + |mu - c| > 3 var is infeasible, by a closed-form vector."""
+
+    def test_pruned_points_are_infeasible_on_small_windows(self, monkeypatch):
+        calls = record_certificate_checks(monkeypatch)
+        mus = sorted({F(j, q) for q in (2, 3) for j in range(-2 * q, 2 * q + 1)})
+        variances = [F(0), F(1, 4), F(2, 3), F(1), F(2), F(7, 2), F(6), F(10)]
+        pruned_points = kept_points = 0
+        for radius in range(1, 6):
+            for mu in mus:
+                for var in variances:
+                    calls.clear()
+                    try:
+                        lp_max_two_sided_unimodal(2, mu, var, radius)
+                    except InfeasibleError:
+                        pass
+                    lo, hi = math.ceil(mu - radius), math.floor(mu + radius)
+                    pruned = [c for c in range(lo, hi + 1)
+                              if (mu - c) ** 2 + abs(mu - c) > 3 * var]
+                    # The oracle hands the checker a Farkas vector at det 0
+                    # exactly where the lemma prunes.
+                    assert [labels[0][1] for _, _, _, _, det, _, labels in calls
+                            if det == 0] == pruned, (mu, var, radius)
+                    for c in pruned:
+                        A, b, labels = _point_lp(mu, var, lo, hi, c)
+                        obj = [0] * len(A)
+                        solution, y, det, _ = _simplex(A, obj, b)
+                        assert solution is None, (mu, var, radius, c)
+                        _check_certificate(A, obj, b, y, det, None, labels)
+                        y = tangent_farkas_vector(mu, var, c)
+                        assert _check_certificate(A, obj, b, y, 0, None, labels) is None
+                    pruned_points += len(pruned)
+                    kept_points += hi - lo + 1 - len(pruned)
+        assert min(pruned_points, kept_points) > 1000
+
+    @pytest.mark.parametrize("delta", [1, 2, 3, 4])
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_a_uniforms_end_point_is_kept(self, monkeypatch, delta, side):
+        # The uniform on 2 delta + 1 points with c = -1 at one end has mean
+        # mu = c +- delta and 3 var = delta^2 + delta = x^2 + |x|.  At that
+        # equality the tangent vector's y.b is 0, so c is not pruned, and the
+        # simplex finds it feasible.
+        calls = record_certificate_checks(monkeypatch)
+        c, mu = -1, F(-1 + side * delta)
+        var = variance(uniform_pmf(min(c, c + 2 * side * delta), max(c, c + 2 * side * delta)))
+        assert (mu - c) ** 2 + abs(mu - c) == 3 * var
+        lp_max_two_sided_unimodal(1, mu, var, 2 * delta + 1)
+        [solution] = [solution for *_, solution, labels in calls if labels[0][1] == c]
+        assert solution is not None
 
 
 class TestPivotRule:

@@ -120,19 +120,21 @@ MUTANTS = [
            "if sum(cost * x for _, cost, x in basis) != yb:", "if False:", EXTREMAL),
     Mutant("failing column named by its list position", "extremal.py",
            "fails on column {labels[j]}", "fails on column {j}", EXTREMAL),
-    # The two-sided oracle's reuse of Farkas vectors across common points.
-    # One stored vector for both sides ("reused vector kept for both
-    # sides") would be an equivalent mutant: a vector that passes the scan
-    # is a certificate wherever it was found, so no result can change, and
-    # on the cases of TestFarkasReuse and of criterion 6 (at its radii and
-    # at 20) no pivot count changes either; sharing adds only failed scans.
-    Mutant("stored vector never tried", "extremal.py",
-           "if farkas is not None and _first_failing(", "if False and _first_failing(", EXTREMAL),
-    Mutant("reuse scan skips the first column", "extremal.py",
-           "_first_failing(A, obj, farkas, 0)", "_first_failing(A[1:], obj[1:], farkas, 0)",
-           EXTREMAL),
-    Mutant("tie rule ignores the lower c", "extremal.py",
-           "num * best[1] == best[0] * det and c < best[2]", "False", EXTREMAL),
+    # The two-sided oracle's one ascending pass: far common points are pruned
+    # and certified by the tangent Farkas vector. At x^2 + |x| = 3 var its
+    # y.b is 0, which the checker refuses; a uniform's own moments reach
+    # that equality at its end point. A threshold that prunes fewer points,
+    # 4 var for 3 var, changes no value, only the work; TestPruning's check
+    # of the pruned set kills it.
+    Mutant("prune at equality", "extremal.py",
+           "x * x + abs(x) > 3 * var", "x * x + abs(x) >= 3 * var", EXTREMAL),
+    Mutant("prune threshold 2 var", "extremal.py", "3 * var", "2 * var", EXTREMAL),
+    Mutant("prune threshold 4 var", "extremal.py", "3 * var", "4 * var", EXTREMAL),
+    Mutant("tangent slope 7x", "extremal.py", "t = 8 * x", "t = 7 * x", EXTREMAL),
+    Mutant("tangent vector without 4x^2", "extremal.py",
+           "t * c + 4 * x * x,", "t * c,", EXTREMAL),
+    Mutant("ties to the highest c", "extremal.py",
+           "num * best[1] > best[0] * det", "num * best[1] >= best[0] * det", EXTREMAL),
     # dist_core's one tail table and shape test.
     Mutant("upper cut floor for ceil", "dist_core.py",
            "at_least(math.ceil(mu + a))", "at_least(math.floor(mu + a))", DIST_CORE),
@@ -195,6 +197,11 @@ MUTANTS = [
            "mass = (level - prev) * (r - l + 1)", "mass = (level - prev) * (r - l)", DECOMPOSE),
     Mutant("layer mass invariant disabled", "decompose.py",
            "if total != 1:", "if False:", DECOMPOSE),
+    # The two reconstructions from a mixture.
+    Mutant("uniform mixture share over k + 2 points", "decompose.py",
+           "d / (k + 1)", "d / (k + 2)", DECOMPOSE),
+    Mutant("interval mixture drops its right end", "decompose.py",
+           "range(l, r + 1)", "range(l, r)", DECOMPOSE),
     # The closed-form proof transforms.
     Mutant("flatten_head level denominator", "decompose.py",
            "a * (a + 1))", "a * (a + 2))", DECOMPOSE),

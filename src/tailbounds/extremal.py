@@ -16,20 +16,21 @@ signed so that b >= 0, and s the second moment's.  Both emit a (solution,
 dual, det) triple, or for a pruned common point a closed-form Farkas
 vector, that :func:`_check_certificate` verifies before the oracle
 returns, so a wrong envelope edge, pivot or pruned point surfaces as
-SoundnessViolationError, not as a wrong value.  The checker reads every
-column it is given: the two-sided oracle's whole LP, or the at most eight
-where the decreasing oracle's dual slack can be least.  A failed dual
-step names the column by the oracle's own label for it: a support index,
-or an interval (l, r).
+SoundnessViolationError, not as a wrong value.  The checker's dual
+scan, :func:`_first_failing`, is also the simplex's pricing scan.  The
+checker reads every column it is given: the two-sided oracle's whole LP,
+or the at most eight where the decreasing oracle's dual slack can be
+least.  A failed dual step names the column by the oracle's own label
+for it: a support index, or an interval (l, r).
 
 The decreasing oracle is one certified core, :func:`_decreasing_cell`,
-which returns the optimum and its edge as integers only after the check
-has passed.  :func:`lp_max_tail_decreasing` wraps that core's integers
-as an :class:`OracleResult`, and :func:`verify_tightness_theorem2` runs
-it once per cell and compares its optimum with the bound in one integer
-cross-multiplication, building no argmax.  The oracles deliberately
-share no code with the bound formulas: agreement between the two routes
-is the verification.
+with a closed-form dual; it returns the optimum and its edge as integers
+only after the check has passed.  :func:`lp_max_tail_decreasing` wraps
+them as an :class:`OracleResult`, and :func:`verify_tightness_theorem2`
+runs the core once per cell and compares its optimum with the bound in
+one integer cross-multiplication, building no argmax.  The oracles
+deliberately share no code with the bound formulas: agreement between
+the two routes is the verification.
 """
 from __future__ import annotations
 
@@ -170,7 +171,9 @@ def _first_failing(
     """The first column j of ``A`` with y.A_j < scale * obj_j, or None.
 
     This is the dual step of :func:`_check_certificate`; with ``scale`` 0
-    it checks a Farkas vector's columns.
+    it checks a Farkas vector's columns.  It is also Bland's pricing scan
+    in :func:`_run_phase`: given a basis's dual and determinant, the
+    lowest column with positive reduced cost.
     """
     y0, y1, y2 = y
     for j, ((a0, a1, a2), cj) in enumerate(zip(A, obj)):
@@ -259,15 +262,16 @@ def _decreasing_cell(
     mean.  ``a >= 1``, ``q >= 1`` and ``N >= 2a`` are the caller's to
     check.
 
-    The certificate is checked on at most eight columns, so time and
-    memory do not grow with N.  The dual slack is least, over all N + 1
-    columns, at one of the positions :func:`_slack_minima` returns.  The
-    LP restricted to those positions and the two basis columns is built
-    as plain lists, and :func:`_check_certificate` certifies its optimum
-    before anything is returned; no other column's slack is below the
-    least of the named ones, so the dual is feasible on all N + 1 and
-    that optimum is the whole LP's.  A wrong edge raises
-    SoundnessViolationError, never a wrong value.
+    The dual, the closed-form line of :func:`lp_max_tail_decreasing`, is
+    checked on at most eight columns, so time and memory do not grow with
+    N.  Its slack is least, over all N + 1 columns, at one of the
+    positions :func:`_slack_minima` returns.  The LP restricted to those
+    positions and the two basis columns is built as plain lists, and
+    :func:`_check_certificate` certifies its optimum before anything is
+    returned; no other column's slack is below the least of the named
+    ones, so the dual is feasible on all N + 1 and that optimum is the
+    whole LP's.  A wrong edge raises SoundnessViolationError, never a
+    wrong value.
     """
     if p <= 0 or p > q * N:
         return None
@@ -275,11 +279,8 @@ def _decreasing_cell(
     xl = 0 if xr == 2 * a - 1 else xr - 1
     det = q * (xl + 1) * (xr + 1) * (xr - xl)
     wl, wr = (xr + 1) * (q * xr - p), (xl + 1) * (p - q * xl)
-    # The line y0 + y1 x through the edge, scaled by det / q.
-    ul, ur = max(0, xl - a + 1), max(0, xr - a + 1)
-    y1 = ur * (xl + 1) - ul * (xr + 1)
-    y0 = ul * (xr + 1) * (xr - xl) - y1 * xl
-    y = (q * y0, y1, 0)
+    # The line through the edge, scaled by det / q: xr (xr + 1 - 2a) + a x.
+    y = (q * xr * (xr + 1 - 2 * a), a, 0)
     # A valid edge's xl and xr are among the slack minima; adding them
     # makes a wrong edge fail the check, not the index lookups below.
     named = sorted({xl, xr, *_slack_minima(a, q, N, y, det)})
@@ -309,12 +310,18 @@ def lp_max_tail_decreasing(a: int, mu: RationalLike, N: int) -> OracleResult:
     are 0, then 2a - 1, then every i up to N, and the edge bracketing
     2 mu is [xl, xr] with xr = max(2a - 1, ceil(2 mu)), xl = 0 when
     xr = 2a - 1 and xl = xr - 1 otherwise; N >= 2a keeps xr <= N.  The
-    basis is that edge, and the dual is the line through it.
+    basis is that edge, and the dual is the line through it:
+    y = (q xr (xr + 1 - 2a), a, 0) at det = q (xl + 1)(xr + 1)(xr - xl).
+    Its slack at column i >= a - 1 is q a (i - r1)(i - r1 - 1), with
+    r1 = 2a - 2 if xl = 0 and r1 = xl otherwise, and below a - 1 it is
+    (i + 1)(y0 + q a i) >= 0, as xr >= 2a - 1.  So the dual is feasible
+    at every i >= 0, and the value is the supremum over all decreasing
+    pmfs on {0, 1, ...} with mean mu; N only decides feasibility.  The
+    tests prove this by exact evaluation; no runtime check rests on it.
 
     The certified integers come from :func:`_decreasing_cell`; this
-    function validates its arguments and wraps the cell as an
-    :class:`OracleResult`, and ``enumerated`` counts the columns the
-    certificate check read.
+    function validates its arguments and wraps them as an
+    :class:`OracleResult`; ``enumerated`` counts the columns checked.
     """
     check_int(a, "threshold a", 1)
     mu = as_rational(mu)
@@ -355,26 +362,17 @@ def _basis_inverse(A: Sequence[Column], basis: Sequence[int]) -> tuple[list[Colu
     return adj, det
 
 
-def _entering(
-    A: Sequence[Column], cost: Sequence[int], det: int, y0: int, y1: int, y2: int
-) -> Optional[int]:
-    """Bland's entering rule: the lowest column with positive reduced cost, or None."""
-    for j, ((a0, a1, a2), cj) in enumerate(zip(A, cost)):
-        if det * cj > y0 * a0 + y1 * a1 + y2 * a2:
-            return j
-    return None
-
-
 def _run_phase(
     A: Sequence[Column], cost: Sequence[int], artificial_cost: int, b: Column, basis: list[int]
 ) -> tuple[list[Column], int, Column, int]:
     """Pivot ``basis`` to optimality for max cost.u, A u = b, u >= 0.
 
-    Bland's rule: the lowest column with positive reduced cost enters and,
-    among rows tied in the ratio test, the lowest basis index leaves
-    (artificials, encoded negative, first).  Artificials never re-enter,
-    and one at zero leaves at ratio 0 on any nonzero entry.  Returns the
-    adjugate, determinant, dual y = c_B adj (dual solution y / det), pivots.
+    Bland's rule: the lowest column with positive reduced cost enters,
+    by the checker's own scan :func:`_first_failing`, and among rows tied
+    in the ratio test the lowest basis index leaves (artificials, encoded
+    negative, first).  Artificials never re-enter, and one at zero leaves
+    at ratio 0 on any nonzero entry.  Returns the adjugate, determinant,
+    dual y = c_B adj (dual solution y / det), pivots.
     Bland's rule visits no basis twice, so more pivots than there are
     bases, C(len(A) + 3, 3), raise SoundnessViolationError, not a hang.
     """
@@ -384,7 +382,7 @@ def _run_phase(
         adj, det = _basis_inverse(A, basis)
         cb = [cost[j] if j >= 0 else artificial_cost for j in basis]
         y0, y1, y2 = (cb[0] * adj[0][i] + cb[1] * adj[1][i] + cb[2] * adj[2][i] for i in range(3))
-        j = _entering(A, cost, det, y0, y1, y2)
+        j = _first_failing(A, cost, (y0, y1, y2), det)
         if j is None:
             return adj, det, (y0, y1, y2), pivots
         c0, c1, c2 = A[j]
@@ -496,10 +494,10 @@ def lp_max_two_sided_unimodal(
             t = 8 * x + (1 if x > 0 else -1)
             y = (3 * c * c + t * c + 4 * x * x, (-6 * c - t) / (sign * d2), Fraction(3, d3))
             L = math.lcm(*(v.denominator for v in y))
-            _check_certificate(A, obj, b, tuple(int(v * L) for v in y), 0, None, labels)
-            continue
-        solution, y, det, count = _simplex(A, obj, b)
-        pivots += count
+            solution, y, det = None, tuple(int(v * L) for v in y), 0
+        else:
+            solution, y, det, count = _simplex(A, obj, b)
+            pivots += count
         num = _check_certificate(A, obj, b, y, det, solution, labels)
         # Ascending c and a strict > give ties to the lowest c.
         if num is not None and (best is None or num * best[1] > best[0] * det):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -330,6 +331,64 @@ class TestSlackMinima:
                 )
                 assert det == want_det
                 assert {named[j]: x for j, x in solution.items()} == want
+
+
+class TestTheorem2Certificate:
+    """The decreasing oracle's dual is feasible at every column i >= 0: a proof, not a sample.
+
+    On the edge [xl, xr] the dual is y = (Y0, Y1, 0) with
+    Y0 = q xr (xr + 1 - 2a) and Y1 = a, at det = q (xl + 1)(xr + 1)(xr - xl).
+    For i >= a - 1 column i's slack, y.(i + 1, q i (i + 1), 0) - det (i - a + 1),
+    is claimed to equal q a (i - r1)(i - r1 - 1), which is >= 0 at every
+    integer i.  Below a - 1 the slack is (i + 1)(Y0 + q a i) >= 0, since
+    xr >= 2a - 1 makes Y0 >= 0.  Both sides are polynomials, and one of
+    degree at most d_v in each variable v that vanishes on a grid of
+    d_v + 1 values per variable is zero (Alon, Combinatorial
+    Nullstellensatz, 1999, Lemma 2.1).  So an exact check on such a grid
+    proves the identity for every a, q, edge and i, whatever N.
+    """
+
+    @staticmethod
+    def dual(a, q, xl, xr):
+        return (q * xr * (xr + 1 - 2 * a), a, 0), q * (xl + 1) * (xr + 1) * (xr - xl)
+
+    @staticmethod
+    def upper_slack(a, q, i, y, det):
+        return sum(u * v for u, v in zip(y, (i + 1, q * i * (i + 1), 0))) - det * (i - a + 1)
+
+    def test_first_edge_identity(self):
+        # Edge [0, 2a - 1], r1 = 2a - 2; degree at most 3 in a, 1 in q, 2 in i.
+        for a, q, i in itertools.product(range(4), range(2), range(3)):
+            y, det = self.dual(a, q, 0, 2 * a - 1)
+            r1 = 2 * a - 2
+            assert self.upper_slack(a, q, i, y, det) == q * a * (i - r1) * (i - r1 - 1)
+
+    def test_second_edge_identity(self):
+        # Edge [k - 1, k], r1 = k - 1; degree at most 1 in a and q, 2 in k and i.
+        for a, q, k, i in itertools.product(range(2), range(2), range(3), range(3)):
+            y, det = self.dual(a, q, k - 1, k)
+            r1 = k - 1
+            assert self.upper_slack(a, q, i, y, det) == q * a * (i - r1) * (i - r1 - 1)
+
+    def test_the_oracle_emits_these_polynomials(self, monkeypatch):
+        calls = record_certificate_checks(monkeypatch)
+        rng = random.Random(20261022)
+        edges = set()
+        for _ in range(400):
+            a = rng.randint(1, 30)
+            q = rng.choice([1, 2, 3, 5, 7, 12])
+            N = rng.choice([2 * a, 6 * a + 4, 10**6])
+            two_mu = F(rng.randint(1, min(N, 8 * a + 4) * q), q)
+            q = two_mu.denominator
+            calls.clear()
+            lp_max_tail_decreasing(a, two_mu / 2, N)
+            [(_, _, _, y, det, solution, labels)] = calls
+            xl, xr = sorted(labels[j] for j in solution)
+            assert (xl, xr) == ((0, 2 * a - 1) if xr == 2 * a - 1 else (xr - 1, xr))
+            assert (y, det) == self.dual(a, q, xl, xr), (a, two_mu, N)
+            assert y[0] >= 0
+            edges.add(xl == 0)
+        assert edges == {True, False}
 
 
 class TestCertificateLabels:
@@ -878,11 +937,48 @@ class TestPivotRule:
         assert basis == end
 
     def test_pivot_cap_stops_a_cycling_rule(self, monkeypatch):
-        # An entering rule that always offers column 0 pivots it in and out
+        # A pricing scan that always offers column 0 pivots it in and out
         # of its own row forever; the cap of C(1 + 3, 3) = 4 bases stops it.
-        monkeypatch.setattr(extremal, "_entering", lambda *args: 0)
+        # The phase prices through the checker's scan but never checks.
+        monkeypatch.setattr(extremal, "_first_failing", lambda *args: 0)
         with pytest.raises(SoundnessViolationError, match="more pivots than the 4 bases"):
             _run_phase([(1, 1, 1)], [0], -1, (1, 1, 1), [~0, ~1, ~2])
+
+    # Beale's 1955 cycling example, rows 1 and 2 scaled by 4 and 2 and the
+    # objective by 4 to make them integers: columns x1..x7, of which x1,
+    # x2 and x3 are the slack basis.
+    BEALE_A = [(4, 0, 0), (0, 2, 0), (0, 0, 1), (1, 1, 0), (-32, -24, 0), (-4, -1, 1),
+               (36, 6, 0)]
+    BEALE_OBJ = [0, 0, 0, 3, -80, 2, -24]
+    BEALE_B = (0, 0, 1)
+
+    def test_beale_example_ends_under_blands_rule(self):
+        A, obj, b = self.BEALE_A, self.BEALE_OBJ, self.BEALE_B
+        basis = [0, 1, 2]
+        adj, det, y, pivots = _run_phase(A, obj, 0, b, basis)
+        # Six pivots, the first four degenerate, to the basis {x1, x4, x6}
+        # and the value 5: Beale's optimum -5/4 times -4.
+        assert pivots == 6 and sorted(basis) == [0, 3, 5]
+        solution = {j: sum(r * v for r, v in zip(row, b)) for j, row in zip(basis, adj)}
+        labels = [f"x{j + 1}" for j in range(7)]
+        assert F(_check_certificate(A, obj, b, y, det, solution, labels), det) == 5
+        # From the artificial basis, through both phases.
+        solution, y, det, pivots = _simplex(A, obj, b)
+        assert pivots == 9
+        assert F(_check_certificate(A, obj, b, y, det, solution, labels), det) == 5
+
+    def test_beale_example_cycles_under_dantzigs_rule(self, monkeypatch):
+        # Largest reduced cost first, with the same leaving rule: the slack
+        # basis comes back after six degenerate pivots, and only the cap of
+        # C(7 + 3, 3) = 120 bases ends the cycle.
+        def dantzig(A, cost, y, scale):
+            gains = [scale * cj - sum(u * v for u, v in zip(y, col)) for col, cj in zip(A, cost)]
+            best = max(range(len(A)), key=gains.__getitem__)
+            return best if gains[best] > 0 else None
+
+        monkeypatch.setattr(extremal, "_first_failing", dantzig)
+        with pytest.raises(SoundnessViolationError, match="more pivots than the 120 bases"):
+            _run_phase(self.BEALE_A, self.BEALE_OBJ, 0, self.BEALE_B, [0, 1, 2])
 
     def test_unbounded_ray_refused(self):
         # Column 1 is column 0 negated: once column 0 holds the mass, column

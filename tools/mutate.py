@@ -59,6 +59,11 @@ MUTANTS = [
     Mutant("2mu = N infeasible", "extremal.py", "p > q * N", "p >= q * N", EXTREMAL),
     Mutant("edge xl = xr - 1 always", "extremal.py",
            "xl = 0 if xr == 2 * a - 1 else xr - 1", "xl = xr - 1", EXTREMAL),
+    # The decreasing oracle's closed-form dual, the line through the edge.
+    Mutant("decreasing dual slope a + 1", "extremal.py",
+           "2 * a), a, 0)", "2 * a), a + 1, 0)", EXTREMAL),
+    Mutant("decreasing dual intercept without + 1", "extremal.py",
+           "xr + 1 - 2 * a", "xr - 2 * a", EXTREMAL),
     # The decreasing oracle's dual step: the columns where the slack can be least.
     Mutant("slack vertex never read", "extremal.py", "if c2 > 0:", "if False:", EXTREMAL),
     Mutant("slack vertex ceiling dropped", "extremal.py",
@@ -112,8 +117,12 @@ MUTANTS = [
     Mutant("ratio test reversed", "extremal.py",
            "or x[i] * d[leave] < x[leave] * d[i]",
            "or x[i] * d[leave] > x[leave] * d[i]", EXTREMAL),
-    Mutant("pricing starts at column 1", "extremal.py",
-           "in enumerate(zip(A, cost)):", "in enumerate(zip(A[1:], cost[1:]), 1):", EXTREMAL),
+    # One scan prices the simplex and checks every dual: a mutant of it
+    # hits both at once.
+    Mutant("dual scan starts at column 1", "extremal.py",
+           "in enumerate(zip(A, obj)):", "in enumerate(zip(A[1:], obj[1:]), 1):", EXTREMAL),
+    Mutant("pricing at scale 0", "extremal.py",
+           "(y0, y1, y2), det)", "(y0, y1, y2), 0)", EXTREMAL),
     Mutant("zero artificial rule disabled", "extremal.py",
            "if d[i] < 0 and basis[i] < 0 and not x[i]:", "if False:", EXTREMAL),
     Mutant("certificate skips the value check", "extremal.py",

@@ -9,6 +9,7 @@ two-atom form, in closed form, live here as well.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterator, Mapping, Sequence
@@ -146,15 +147,21 @@ def to_uniform_mixture(p: Pmf) -> UniformMixture:
 def from_uniform_mixture(m: UniformMixture) -> Pmf:
     """The unique decreasing pmf with P(X = k) = sum_{i >= k} d_i/(i+1).
 
-    Builds max index + 1 weights, so the cost grows with that index, not the atom count.
+    The suffix sums are taken in integers: each share d_i/(i+1) becomes a
+    numerator over den, the lcm of the shares' denominators, and
+    :func:`make_pmf` divides by their total, which is den since the d_i
+    sum to 1.  Builds max index + 1 weights, so the cost grows with that
+    index, not the atom count.
     """
     n = max(m.atoms)
-    acc = Fraction(0)
-    weights = [Fraction(0)] * (n + 1)
+    shares = {k: d / (k + 1) for k, d in m.atoms.items()}
+    den = math.lcm(*[s.denominator for s in shares.values()])
+    acc = 0
+    weights = [0] * (n + 1)
     for k in range(n, -1, -1):
-        d = m.atoms.get(k)
-        if d is not None:
-            acc += d / (k + 1)
+        s = shares.get(k)
+        if s is not None:
+            acc += s.numerator * (den // s.denominator)
         weights[k] = acc
     return make_pmf(0, weights)
 

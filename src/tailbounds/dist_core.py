@@ -2,8 +2,9 @@
 
 Everything in this module is exact rational arithmetic.  Weights are
 stored as `fractions.Fraction`; the one moment pass, behind both
-:func:`mean` and :func:`variance`, rescales them to integer numerators
-over their common denominator, sums integers and returns exact
+:func:`mean` and :func:`variance`, and the one tail table, behind
+:func:`tail` and :func:`two_sided_tail`, rescale them to integer
+numerators over their common denominator, sum integers and return exact
 Fractions.  Moments, tails and shape predicates are computed exactly,
 so downstream equality checks (bound tightness, decomposition
 roundtrips) are genuine equalities rather than tolerance comparisons.
@@ -295,24 +296,28 @@ def _threshold_tails(
     With ``mu`` None the entry for an integer a is P(X >= a), as
     :func:`tail` gives it; with ``mu`` the mean it is P(|X - mu| >= a) for
     a rational a > 0, as :func:`two_sided_tail` gives it, and 1 for a <= 0.
-    Every entry is read from one suffix table of the weights: on the
-    integers, |X - mu| >= a > 0 exactly when X >= ceil(mu + a) or
-    X <= floor(mu - a), and P(X <= m) = 1 - P(X >= m + 1).  A lookup
-    outside the table is clamped to its nearest end, so the cost is
-    O(n + len(thresholds)), whatever the thresholds' values.
+    Every entry is read from one suffix table of the weights' integer
+    numerators over their common denominator den (see
+    :func:`_common_denominator`), and becomes one Fraction over den: on
+    the integers, |X - mu| >= a > 0 exactly when X >= ceil(mu + a) or
+    X <= floor(mu - a), and P(X <= m) = 1 - P(X >= m + 1), so den times
+    that tail is at_least(ceil(mu + a)) + den - at_least(floor(mu - a) + 1).
+    A lookup outside the table is clamped to its nearest end, so the cost
+    is O(n + len(thresholds)), whatever the thresholds' values.
     """
-    w = p.weights
-    suffix = [Fraction(0)] * (len(w) + 1)
-    for i in reversed(range(len(w))):
-        suffix[i] = suffix[i + 1] + w[i]
+    den, nums = _common_denominator(p)
+    n = len(nums)
+    suffix = [0] * (n + 1)
+    for i in reversed(range(n)):
+        suffix[i] = suffix[i + 1] + nums[i]
 
-    def at_least(k: int) -> Fraction:
-        return suffix[min(max(k - p.offset, 0), len(w))]
+    def at_least(k: int) -> int:
+        return suffix[min(max(k - p.offset, 0), n)]
 
     if mu is None:
-        return [at_least(a) for a in thresholds]
+        return [Fraction(at_least(a), den) for a in thresholds]
     return [
-        at_least(math.ceil(mu + a)) + 1 - at_least(math.floor(mu - a) + 1)
+        Fraction(at_least(math.ceil(mu + a)) + den - at_least(math.floor(mu - a) + 1), den)
         if a > 0 else Fraction(1)
         for a in thresholds
     ]

@@ -34,6 +34,30 @@ def random_unimodal_pmf(
     return make_pmf(rng.randint(*offset_range), ws)
 
 
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def coprime_weights(rng: random.Random, decreasing: bool = False) -> list[Fraction]:
+    """Weights summing to 1 over distinct prime denominators and their product.
+
+    1/q for distinct primes q in a random order, each kept if the sum
+    then stays below 1, and the rest of the mass, whose denominator is
+    the product of the kept q: so the weights' lcm is that product, and
+    no two of the 1/q share a factor.  Sorted from largest to smallest when
+    ``decreasing``; otherwise up to three zeros go between the ends.
+    """
+    ws: list[Fraction] = []
+    for q in rng.sample(PRIMES, rng.randint(1, len(PRIMES))):
+        if sum(ws) + Fraction(1, q) < 1:
+            ws.append(Fraction(1, q))
+    ws.insert(rng.randint(0, len(ws)), 1 - sum(ws))
+    if decreasing:
+        return sorted(ws, reverse=True)
+    for _ in range(rng.randint(0, 3)):
+        ws.insert(rng.randint(1, len(ws) - 1), Fraction(0))
+    return ws
+
+
 def random_uniform_mixture(rng: random.Random, max_atom: int = 30, max_atoms: int = 6) -> UniformMixture:
     k = rng.randint(1, max_atoms)
     indices = rng.sample(range(max_atom + 1), min(k, max_atom + 1))

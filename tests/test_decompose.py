@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tailbounds import (
     IntervalMixture,
+    Pmf,
     ShapeReport,
     ShapeViolationError,
     SoundnessViolationError,
@@ -29,7 +30,7 @@ from tailbounds import (
     uniform_pmf,
 )
 
-from genpmf import random_three_atom_mixture, random_uniform_mixture
+from genpmf import coprime_weights, random_three_atom_mixture, random_uniform_mixture
 from reference_decompose import (
     reference_to_uniform_mixture,
     reference_unimodal_to_interval_mixture,
@@ -219,6 +220,15 @@ class TestUniformMixture:
 
     @given(decreasing_pmfs())
     def test_roundtrip_identity(self, p):
+        assert from_uniform_mixture(to_uniform_mixture(p)) == p
+
+    @given(st.integers(0, 2**32), st.integers(1, 5))
+    def test_roundtrip_identity_over_coprime_denominators(self, seed, scale):
+        # Shares d_i/(i+1) of unlike denominators, summed as integers over
+        # their lcm; from the raw constructor and from make_pmf alike.
+        ws = coprime_weights(random.Random(seed), decreasing=True)
+        p = Pmf(0, ws)
+        assert make_pmf(0, [*(w * scale for w in ws), 0]) == p
         assert from_uniform_mixture(to_uniform_mixture(p)) == p
 
     @given(decreasing_pmfs())

@@ -37,6 +37,7 @@ from tailbounds.dist_core import (
     _common_denominator, _moments, _nearest_float, _threshold_tails, check_sign, read_int,
 )
 
+from genpmf import coprime_weights
 from reference_moments import reference_abs_mean, reference_mean, reference_variance_about
 from reference_tails import reference_tail, reference_threshold_tails, reference_two_sided_tail
 
@@ -83,17 +84,30 @@ def moment_cases(st_draw):
 
 @st.composite
 def tail_table_cases(st_draw):
-    """A pmf at offset -5..5, a third of them palindromes of odd length
-    (integer mean) and a third of even length (half-integer mean), and a
-    top threshold past both the support and the largest distance from
-    the mean."""
-    ws = st_draw(st.lists(st.integers(0, 9), min_size=1, max_size=10).filter(any))
-    mirror = st_draw(st.sampled_from([None, "odd", "even"]))
-    if mirror == "odd":
-        ws = ws + ws[-2::-1]
-    elif mirror == "even":
-        ws = ws + ws[::-1]
-    p = make_pmf(st_draw(st.integers(-5, 5)), ws)
+    """A pmf at offset -5..5 and a top threshold past both the support and
+    the largest distance from the mean.  A quarter of the pmfs are
+    palindromes of odd length (integer mean), a quarter of even length
+    (half-integer mean) and a quarter other integer weights, all of which
+    share one denominator.  The rest have the weights of
+    :func:`genpmf.coprime_weights`, over distinct primes and their
+    product, from the raw constructor or from ``make_pmf`` with their sum
+    scaled and zeros around them."""
+    offset = st_draw(st.integers(-5, 5))
+    kind = st_draw(st.sampled_from([None, "odd", "even", "coprime"]))
+    if kind == "coprime":
+        ws = coprime_weights(random.Random(st_draw(st.integers(0, 2**32))))
+        if st_draw(st.booleans()):
+            p = Pmf(offset, ws)
+        else:
+            scale = st_draw(st.integers(1, 5))
+            p = make_pmf(offset, [0, *(w * scale for w in ws), 0, 0])
+    else:
+        ws = st_draw(st.lists(st.integers(0, 9), min_size=1, max_size=10).filter(any))
+        if kind == "odd":
+            ws = ws + ws[-2::-1]
+        elif kind == "even":
+            ws = ws + ws[::-1]
+        p = make_pmf(offset, ws)
     top = len(p.weights) + abs(p.offset) + st_draw(st.integers(0, 3))
     return p, top
 
@@ -432,6 +446,30 @@ class TestTails:
                 assert t == two_sided_tail(p, a) == reference_two_sided_tail(p, a)
             else:
                 assert t == 1
+
+    def test_threshold_table_on_a_long_pmf(self):
+        # soundness_sweep's large class: about 1 000 points with weights up
+        # to 10**6, so den is in the hundreds of millions.  Thresholds at
+        # every 37th point past both ends, and rationals at, just off and
+        # between a sample of the exact distances |k - mu|.
+        rng = random.Random(1000)
+        p = make_pmf(-20, [1, *(rng.randint(0, 10**6) for _ in range(1000)), 1])
+        assert _common_denominator(p)[0] > 10**8
+        mu = reference_mean(p)
+        integers = [*range(p.offset - 3, p.support_max + 40, 37), 10**6]
+        one_sided = _threshold_tails(p, integers)
+        assert one_sided == reference_threshold_tails(p, integers)
+        assert one_sided == [reference_tail(p, a) for a in integers]
+        positive = [a for a in integers if a > 0]
+        two_sided = _threshold_tails(p, positive, mu)
+        assert two_sided == reference_threshold_tails(p, positive, mu)
+        assert two_sided == [reference_two_sided_tail(p, a) for a in positive]
+        distances = sorted({abs(k - mu) for k, _ in p.items()})[::50]
+        rationals = [d + e for d in distances for e in (0, F(-1, 7))]
+        rationals += [(d + e) / 2 for d, e in zip(distances, distances[1:])]
+        assert _threshold_tails(p, rationals, mu) == [
+            reference_two_sided_tail(p, a) for a in rationals
+        ]
 
     @pytest.mark.parametrize("mu", [None, F(1, 2)])
     def test_threshold_table_below_one_is_whole_or_empty(self, mu):

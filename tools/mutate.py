@@ -153,6 +153,12 @@ MUTANTS = [
            "at_least(math.floor(mu - a) + 1)", "at_least(math.floor(mu - a))", DIST_CORE),
     Mutant("two-sided a >= 0 for a > 0", "dist_core.py",
            "if a > 0 else Fraction(1)", "if a >= 0 else Fraction(1)", DIST_CORE),
+    # The table holds numerators over den, so P(X <= m) is den minus a lookup;
+    # "+ den -" alone also occurs in the docstring.
+    Mutant("lower tail 1 - lookup for den - lookup", "dist_core.py",
+           "+ den - at_least(math.floor", "+ 1 - at_least(math.floor", DIST_CORE),
+    Mutant("suffix clamp n - 1 for n", "dist_core.py",
+           "max(k - p.offset, 0), n)]", "max(k - p.offset, 0), n - 1)]", DIST_CORE),
     Mutant("shape decreasing run strict", "dist_core.py",
            "w[dec_start - 1] >= w[dec_start]", "w[dec_start - 1] > w[dec_start]", DIST_CORE),
     # dist_core's one moment pass. The atoms at 0 add nothing to E[X; X < 0],
@@ -209,6 +215,9 @@ MUTANTS = [
     # The two reconstructions from a mixture.
     Mutant("uniform mixture share over k + 2 points", "decompose.py",
            "d / (k + 1)", "d / (k + 2)", DECOMPOSE),
+    # Each share d / (k + 1) is summed as its numerator over the shares' lcm.
+    Mutant("uniform mixture shares not rescaled to their lcm", "decompose.py",
+           "s.numerator * (den // s.denominator)", "s.numerator", DECOMPOSE),
     Mutant("interval mixture drops its right end", "decompose.py",
            "range(l, r + 1)", "range(l, r)", DECOMPOSE),
     # The closed-form proof transforms.
